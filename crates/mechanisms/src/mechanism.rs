@@ -135,6 +135,19 @@ pub trait Mechanism: Send + Sync {
     /// clamp is a safety net mirroring real deployments).
     fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64;
 
+    /// Perturb the value half of every `(dimension, value)` entry in place,
+    /// in order; the dimensions are left as they are.
+    ///
+    /// Equivalent to calling [`Mechanism::perturb`] on each value in turn
+    /// (same RNG draws, bit-identical results), but as one dynamic dispatch
+    /// per report: each implementation gets its own copy of this provided
+    /// method, in which `perturb` is a static call the compiler can inline.
+    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut dyn RngCore) {
+        for (_, value) in entries {
+            *value = self.perturb(*value, rng);
+        }
+    }
+
     /// Closed-form bias `δ(t) = E[M(t)] − t`.
     fn bias(&self, t: f64) -> f64;
 

@@ -11,7 +11,10 @@
 use crate::{BudgetSplit, ProtocolError, Report};
 use hdldp_mechanisms::Mechanism;
 use rand::seq::index::sample;
-use rand::RngCore;
+use rand::{Rng, RngCore};
+
+/// Most displaced positions the sparse sampling branch tracks on the stack.
+const DISPLACED_CAPACITY: usize = 64;
 
 /// A client that perturbs user tuples with a given mechanism and budget split.
 pub struct Client<'a> {
@@ -127,19 +130,98 @@ impl<'a> Client<'a> {
     /// standing in for millions of users never needs to materialize a full
     /// `d`-dimensional tuple per user — only the `m` sampled dimensions are
     /// ever evaluated.
+    ///
+    /// The sampled dimensions are exactly those of
+    /// `rand::seq::index::sample(rng, d, m)`, in the same order and from the
+    /// same draws, and each value is perturbed as one
+    /// [`Mechanism::perturb`] call in that order would, so the report is
+    /// bit-identical to the per-value path. Entries already in `out` are left
+    /// untouched. Sampling is allocation-free once `out` has grown, for the
+    /// shapes listed on the private `sample_dims_into` in this module.
     pub fn perturb_lazy_into<V: Fn(usize) -> f64>(
         &self,
         value_of: V,
         rng: &mut dyn RngCore,
         out: &mut Vec<(usize, f64)>,
     ) {
-        let m = self.budget.reported_dims();
-        let chosen = sample(rng, self.dims, m);
+        let base = out.len();
+        sample_dims_into(rng, self.dims, self.budget.reported_dims(), out);
+        if let Some(report) = out.get_mut(base..) {
+            // `value_of` cannot draw from `rng`, so evaluating every value
+            // before perturbing any keeps the draw order of the per-value path.
+            for (dim, value) in report.iter_mut() {
+                *value = value_of(*dim);
+            }
+            self.mechanism.perturb_entries(report, rng);
+        }
+    }
+}
+
+/// Append `amount` distinct dimensions from `0..length` to `out` as
+/// `(dimension, 0.0)` entries, leaving the entries already there untouched.
+///
+/// The dimensions are exactly those `rand::seq::index::sample(rng, length,
+/// amount)` returns, in the same order and from the same `gen_range` draws,
+/// and the branches split where the vendored sampler's do:
+///
+/// * sparse (`2·amount < length`), at most [`DISPLACED_CAPACITY`]
+///   dimensions: the vendored sparse partial Fisher–Yates shuffle, with its
+///   `HashMap` of displaced positions replaced by an on-stack table scanned
+///   linearly (every position the shuffle has not touched still holds its
+///   own index);
+/// * sparse, more dimensions: the vendored sampler itself, which allocates
+///   a `Vec` and a `HashMap` per call;
+/// * dense (`2·amount ≥ length`): the same shuffle over a pool of all
+///   `length` dimensions laid out in `out` itself, truncated to the first
+///   `amount`.
+///
+/// The first and last branches make no heap allocation once `out` has spare
+/// capacity for `amount` and `length` entries respectively.
+fn sample_dims_into(
+    rng: &mut dyn RngCore,
+    length: usize,
+    amount: usize,
+    out: &mut Vec<(usize, f64)>,
+) {
+    let sparse = amount.saturating_mul(2) < length;
+    if sparse && amount <= DISPLACED_CAPACITY {
+        // `(position, dimension)` pairs with unique positions; `len ≤ i <
+        // amount ≤ DISPLACED_CAPACITY` keeps every index below in range.
+        let mut displaced = [(0usize, 0usize); DISPLACED_CAPACITY];
+        let mut len = 0;
+        for i in 0..amount {
+            let j = rng.gen_range(i..length);
+            let (mut picked, mut moved, mut slot) = (j, i, len);
+            for (k, &(position, dim)) in displaced[..len].iter().enumerate() {
+                if position == j {
+                    picked = dim;
+                    slot = k;
+                }
+                if position == i {
+                    moved = dim;
+                }
+            }
+            out.push((picked, 0.0));
+            displaced[slot] = (j, moved);
+            if slot == len {
+                len += 1;
+            }
+        }
+    } else if sparse {
         out.extend(
-            chosen
+            sample(rng, length, amount)
                 .into_iter()
-                .map(|j| (j, self.mechanism.perturb(value_of(j), rng))),
+                .map(|dim| (dim, 0.0)),
         );
+    } else {
+        let base = out.len();
+        out.extend((0..length).map(|dim| (dim, 0.0)));
+        if let Some(pool) = out.get_mut(base..) {
+            for i in 0..amount {
+                pool.swap(i, rng.gen_range(i..length));
+            }
+        }
+        out.truncate(base + amount);
     }
 }
 
