@@ -1,10 +1,13 @@
 //! Diff two `BENCH_*.json` baseline files and gate on a regression threshold.
 //!
 //! ```text
-//! # Turn raw bench output into a baseline file:
-//! cargo bench -p hdldp-bench --bench framework > bench.log
+//! # Turn raw bench output into a baseline file; given several runs, each id
+//! # keeps the median of its readings:
+//! cargo bench -p hdldp-bench --bench framework > bench1.log
+//! cargo bench -p hdldp-bench --bench framework > bench2.log
+//! cargo bench -p hdldp-bench --bench framework > bench3.log
 //! cargo run -p hdldp-bench --bin bench_compare -- \
-//!     collect --note "hot-path baseline" --out BENCH_hotpaths.json bench.log
+//!     collect --note "hot-path baseline" --out BENCH_hotpaths.json bench*.log
 //!
 //! # Gate a fresh run against the committed baseline (CI "Perf smoke"):
 //! cargo run -p hdldp-bench --bin bench_compare -- \
@@ -18,7 +21,7 @@
 //! own measurement first, cancelling uniform machine-speed differences so a
 //! committed baseline can gate runs on different hardware.
 
-use hdldp_bench::compare::{compare, parse_threshold, scrape_bench_json, BenchFile};
+use hdldp_bench::compare::{compare, median_per_id, parse_threshold, scrape_bench_json, BenchFile};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
@@ -48,7 +51,8 @@ fn main() -> ExitCode {
 }
 
 /// `collect`: scrape BENCH_JSON lines from log files (or stdin) into a
-/// schema-complete baseline file.
+/// schema-complete baseline file with one row per id, the median of its
+/// readings.
 fn run_collect(args: &[String]) -> Result<bool, String> {
     let mut note = String::from("collected by bench_compare");
     let mut rustc_version: Option<String> = None;
@@ -79,7 +83,7 @@ fn run_collect(args: &[String]) -> Result<bool, String> {
             text.push('\n');
         }
     }
-    let benchmarks = scrape_bench_json(&text)?;
+    let benchmarks = median_per_id(scrape_bench_json(&text)?);
     if benchmarks.is_empty() {
         return Err("no BENCH_JSON lines found in the input".into());
     }

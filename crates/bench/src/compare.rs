@@ -4,8 +4,9 @@
 //! mean ns/iter per benchmark id. This module implements the comparison
 //! protocol behind the `bench_compare` binary and CI's "Perf smoke" gate:
 //!
-//! 1. **Collect** — scrape the `BENCH_JSON {...}` lines a bench run prints
-//!    into a [`BenchFile`] ([`scrape_bench_json`]).
+//! 1. **Collect** — scrape the `BENCH_JSON {...}` lines one or more bench
+//!    runs print ([`scrape_bench_json`]) and keep one row per id, the median
+//!    of its readings ([`median_per_id`]), as a [`BenchFile`].
 //! 2. **Diff** — join baseline and current records by id ([`compare`]) and
 //!    compute the per-id slowdown ratio `current_ns / baseline_ns`.
 //! 3. **Gate** — any ratio above the threshold (e.g. `1.5x`) is a regression
@@ -76,6 +77,32 @@ pub fn scrape_bench_json(text: &str) -> Result<Vec<BenchRecord>, String> {
         records.push(record);
     }
     Ok(records)
+}
+
+/// Fold repeated readings of an id (several runs collected together) into
+/// one record per id holding their median, ids in first-seen order. An even
+/// number of readings gives the mean of the middle two.
+pub fn median_per_id(records: Vec<BenchRecord>) -> Vec<BenchRecord> {
+    let mut readings: Vec<(String, Vec<f64>)> = Vec::new();
+    for record in records {
+        match readings.iter_mut().find(|(id, _)| *id == record.id) {
+            Some((_, values)) => values.push(record.mean_ns),
+            None => readings.push((record.id, vec![record.mean_ns])),
+        }
+    }
+    readings
+        .into_iter()
+        .map(|(id, mut values)| {
+            values.sort_by(f64::total_cmp);
+            let mid = values.len() / 2;
+            let mean_ns = if values.len() % 2 == 1 {
+                values[mid]
+            } else {
+                0.5 * (values[mid - 1] + values[mid])
+            };
+            BenchRecord { id, mean_ns }
+        })
+        .collect()
 }
 
 /// Parse a regression threshold like `1.5x` (trailing `x` optional) into the
@@ -252,6 +279,31 @@ mod tests {
             ]
         );
         assert!(scrape_bench_json("BENCH_JSON {broken").is_err());
+    }
+
+    #[test]
+    fn median_per_id_keeps_one_row_per_id_in_first_seen_order() {
+        let record = |id: &str, mean_ns: f64| BenchRecord {
+            id: id.into(),
+            mean_ns,
+        };
+        // Three runs of `b` and `a`, a fourth run that only saw `a`, and an
+        // id seen once.
+        let readings = vec![
+            record("b", 30.0),
+            record("a", 5.0),
+            record("b", 10.0),
+            record("a", 9.0),
+            record("c", 2.0),
+            record("b", 20.0),
+            record("a", 1.0),
+            record("a", 7.0),
+        ];
+        assert_eq!(
+            median_per_id(readings),
+            vec![record("b", 20.0), record("a", 6.0), record("c", 2.0)]
+        );
+        assert!(median_per_id(Vec::new()).is_empty());
     }
 
     #[test]

@@ -13,8 +13,8 @@
 
 use crate::error::check_epsilon;
 use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use rand::rngs::StdRng;
 use rand::Rng;
-use rand::RngCore;
 
 /// Duchi et al. binary mechanism on the input domain `[-1, 1]`.
 #[derive(Debug, Clone)]
@@ -71,7 +71,7 @@ impl Mechanism for DuchiMechanism {
         (-self.b, self.b)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let p = self.prob_positive(t);
         if rng.gen_bool(p.clamp(0.0, 1.0)) {
             self.b

@@ -18,8 +18,8 @@ use crate::duchi::DuchiMechanism;
 use crate::error::check_epsilon;
 use crate::mechanism::{Bound, Mechanism};
 use crate::piecewise::PiecewiseMechanism;
+use rand::rngs::StdRng;
 use rand::Rng;
-use rand::RngCore;
 
 /// The budget threshold `ε₀` below which the Hybrid mechanism degenerates to
 /// pure Duchi (Wang et al. give ε₀ as the positive root of a transcendental
@@ -102,7 +102,7 @@ impl Mechanism for HybridMechanism {
         (-b, b)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         if self.alpha > 0.0 && rng.gen_bool(self.alpha) {
             self.piecewise.perturb(t, rng)
         } else {

@@ -8,7 +8,7 @@
 use crate::error::check_epsilon;
 use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
 use hdldp_math::Laplace;
-use rand::RngCore;
+use rand::rngs::StdRng;
 
 /// Laplace mechanism on the input domain `[-1, 1]`.
 #[derive(Debug, Clone)]
@@ -72,7 +72,7 @@ impl Mechanism for LaplaceMechanism {
         (f64::NEG_INFINITY, f64::INFINITY)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let t = clamp_to_domain(t, -1.0, 1.0);
         t + self.noise.sample(rng)
     }

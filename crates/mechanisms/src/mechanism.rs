@@ -9,7 +9,7 @@
 //! mechanism automatically plugs it into the benchmark and the re-calibration
 //! protocol.
 
-use rand::RngCore;
+use rand::rngs::StdRng;
 use serde::{Deserialize, Serialize};
 
 /// Whether a mechanism's output support is finite (`Bound(M) = 1` in the
@@ -133,7 +133,12 @@ pub trait Mechanism: Send + Sync {
     /// Perturb one value. `t` must lie in [`Mechanism::input_domain`]; values
     /// outside are clamped (callers are expected to have normalized data, the
     /// clamp is a safety net mirroring real deployments).
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64;
+    ///
+    /// The generator is the workspace's one concrete type, `StdRng`, so every
+    /// draw inside an implementation is a static call the compiler inlines.
+    /// A generic `R: Rng` parameter would do the same but make the trait
+    /// unusable as `dyn Mechanism`.
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64;
 
     /// Perturb the value half of every `(dimension, value)` entry in place,
     /// in order; the dimensions are left as they are.
@@ -142,7 +147,7 @@ pub trait Mechanism: Send + Sync {
     /// (same RNG draws, bit-identical results), but as one dynamic dispatch
     /// per report: each implementation gets its own copy of this provided
     /// method, in which `perturb` is a static call the compiler can inline.
-    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut dyn RngCore) {
+    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
         for (_, value) in entries {
             *value = self.perturb(*value, rng);
         }

@@ -17,8 +17,8 @@
 
 use crate::error::check_epsilon;
 use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use rand::rngs::StdRng;
 use rand::Rng;
-use rand::RngCore;
 
 /// Piecewise mechanism on the input domain `[-1, 1]`.
 #[derive(Debug, Clone)]
@@ -112,7 +112,7 @@ impl Mechanism for PiecewiseMechanism {
         (-self.q, self.q)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let t = clamp_to_domain(t, -1.0, 1.0);
         let l = self.band_left(t);
         let r = self.band_right(t);

@@ -15,7 +15,7 @@
 //! `var_out(x) = s² · var_in(u)` where `u` is the mapped input.
 
 use crate::mechanism::{Bound, Mechanism};
-use rand::RngCore;
+use rand::rngs::StdRng;
 
 /// A mechanism re-parameterised to accept inputs from `[lo, hi]` instead of
 /// its native input domain.
@@ -107,7 +107,7 @@ impl<M: Mechanism> Mechanism for Rescaled<M> {
         (a.min(b), a.max(b))
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let u = self.to_native(t.clamp(self.lo, self.hi));
         self.from_native(self.inner.perturb(u, rng))
     }

@@ -18,8 +18,8 @@
 
 use crate::error::check_epsilon;
 use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use rand::rngs::StdRng;
 use rand::Rng;
-use rand::RngCore;
 
 /// Square Wave mechanism on its native input domain `[0, 1]`.
 #[derive(Debug, Clone)]
@@ -113,7 +113,7 @@ impl Mechanism for SquareWaveMechanism {
         (-self.b, 1.0 + self.b)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let t = clamp_to_domain(t, 0.0, 1.0);
         if rng.gen_bool(self.prob_in_band().clamp(0.0, 1.0)) {
             rng.gen_range((t - self.b)..=(t + self.b))

@@ -17,8 +17,8 @@
 
 use crate::error::check_epsilon;
 use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use rand::rngs::StdRng;
 use rand::Rng;
-use rand::RngCore;
 
 /// Zero-mean staircase-shaped noise with sensitivity `delta`, privacy budget
 /// `epsilon` and shape parameter `gamma`.
@@ -209,7 +209,7 @@ impl Mechanism for StaircaseMechanism {
         (f64::NEG_INFINITY, f64::INFINITY)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let t = clamp_to_domain(t, -1.0, 1.0);
         t + self.noise.sample(rng)
     }

@@ -10,8 +10,9 @@
 
 use crate::{BudgetSplit, ProtocolError, Report};
 use hdldp_mechanisms::Mechanism;
+use rand::rngs::StdRng;
 use rand::seq::index::sample;
-use rand::{Rng, RngCore};
+use rand::Rng;
 
 /// Most displaced positions the sparse sampling branch tracks on the stack.
 const DISPLACED_CAPACITY: usize = 64;
@@ -86,7 +87,7 @@ impl<'a> Client<'a> {
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when the tuple length does not
     /// match the configured dimensionality.
-    pub fn perturb_tuple(&self, tuple: &[f64], rng: &mut dyn RngCore) -> crate::Result<Report> {
+    pub fn perturb_tuple(&self, tuple: &[f64], rng: &mut StdRng) -> crate::Result<Report> {
         let mut entries = Vec::with_capacity(self.budget.reported_dims());
         self.perturb_tuple_into(tuple, rng, &mut entries)?;
         Ok(Report::new(entries))
@@ -110,7 +111,7 @@ impl<'a> Client<'a> {
     pub fn perturb_tuple_into(
         &self,
         tuple: &[f64],
-        rng: &mut dyn RngCore,
+        rng: &mut StdRng,
         out: &mut Vec<(usize, f64)>,
     ) -> crate::Result<()> {
         if tuple.len() != self.dims {
@@ -141,7 +142,7 @@ impl<'a> Client<'a> {
     pub fn perturb_lazy_into<V: Fn(usize) -> f64>(
         &self,
         value_of: V,
-        rng: &mut dyn RngCore,
+        rng: &mut StdRng,
         out: &mut Vec<(usize, f64)>,
     ) {
         let base = out.len();
@@ -177,12 +178,7 @@ impl<'a> Client<'a> {
 ///
 /// The first and last branches make no heap allocation once `out` has spare
 /// capacity for `amount` and `length` entries respectively.
-fn sample_dims_into(
-    rng: &mut dyn RngCore,
-    length: usize,
-    amount: usize,
-    out: &mut Vec<(usize, f64)>,
-) {
+fn sample_dims_into(rng: &mut StdRng, length: usize, amount: usize, out: &mut Vec<(usize, f64)>) {
     let sparse = amount.saturating_mul(2) < length;
     if sparse && amount <= DISPLACED_CAPACITY {
         // `(position, dimension)` pairs with unique positions; `len ≤ i <

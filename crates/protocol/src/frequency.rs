@@ -131,7 +131,7 @@ impl Mechanism for UnitRescaledDyn {
         let (lo, hi) = self.inner.output_support();
         ((lo + 1.0) / 2.0, (hi + 1.0) / 2.0)
     }
-    fn perturb(&self, t: f64, rng: &mut dyn rand::RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         (self.inner.perturb(self.to_native(t), rng) + 1.0) / 2.0
     }
     fn bias(&self, t: f64) -> f64 {

@@ -6,8 +6,9 @@
 //! production-shaped path built on three pieces:
 //!
 //! * [`ReportBatch`] — a bounded flat buffer of reports (one contiguous
-//!   array of `(dimension index, perturbed value)` entries), so reports flow
-//!   to shards without a per-report heap allocation.
+//!   array of `(usize dimension, f64 perturbed value)` entries, the type
+//!   [`crate::Client`], [`Report`] and `Mechanism::perturb_entries` use), so
+//!   reports flow to shards without a per-report heap allocation.
 //! * [`crate::ShardRouter`] — hash-partitions reports across shards by user
 //!   id, independent of arrival order and thread count.
 //! * [`crate::ShardAccumulator`] — per-shard partial sums/counts per
@@ -39,18 +40,20 @@ use std::ops::Range;
 
 /// A bounded, flat batch of reports.
 ///
-/// Entries are stored as one contiguous array of `(u32 dimension index,
-/// f64 perturbed value)` pairs plus report-boundary offsets, so pushing a
-/// report never allocates and the accumulate loop scans contiguous memory.
-/// Capacity is bounded in *reports*; a full batch must be drained (ingested
+/// Entries are stored as one contiguous array of `(dimension, perturbed
+/// value)` pairs plus report-boundary offsets, so pushing a report never
+/// allocates and the accumulate loop scans contiguous memory. Entries are
+/// `(usize, f64)`, the type [`crate::Client`], [`Report`] and
+/// `Mechanism::perturb_entries` already use, so a push is one validated
+/// copy. Capacity is bounded in *reports*; a full batch must be drained (ingested
 /// into a [`ShardAccumulator`] and [`cleared`](ReportBatch::clear)) before
 /// more reports are pushed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportBatch {
     dims: usize,
     capacity: usize,
-    entries: Vec<(u32, f64)>,
-    offsets: Vec<u32>,
+    entries: Vec<(usize, f64)>,
+    offsets: Vec<usize>,
 }
 
 impl ReportBatch {
@@ -59,18 +62,12 @@ impl ReportBatch {
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when `dims` or `capacity` is
-    /// zero, or when `dims` exceeds `u32::MAX` (the index storage width).
+    /// zero.
     pub fn new(dims: usize, capacity: usize) -> crate::Result<Self> {
         if dims == 0 {
             return Err(ProtocolError::InvalidConfig {
                 name: "dims",
                 reason: "dimensionality must be positive".into(),
-            });
-        }
-        if dims > u32::MAX as usize {
-            return Err(ProtocolError::InvalidConfig {
-                name: "dims",
-                reason: format!("dimensionality {dims} exceeds the u32 index range"),
             });
         }
         if capacity == 0 {
@@ -130,20 +127,16 @@ impl ReportBatch {
                 reason: format!("batch is full ({} reports)", self.capacity),
             });
         }
-        // Validate while copying; a partial append is rolled back below, so
-        // the batch is still untouched on error without a second scan.
-        let base = self.entries.len();
-        for &(dim, value) in entries {
-            if dim >= self.dims {
-                self.entries.truncate(base);
-                return Err(ProtocolError::DimensionOutOfRange {
-                    dimension: dim,
-                    dims: self.dims,
-                });
-            }
-            self.entries.push((dim as u32, value));
+        // Validate the whole report before appending any of it, so a bad
+        // report leaves the batch untouched.
+        if let Some(&(dimension, _)) = entries.iter().find(|&&(dim, _)| dim >= self.dims) {
+            return Err(ProtocolError::DimensionOutOfRange {
+                dimension,
+                dims: self.dims,
+            });
         }
-        self.offsets.push(self.entries.len() as u32);
+        self.entries.extend_from_slice(entries);
+        self.offsets.push(self.entries.len());
         Ok(())
     }
 
@@ -157,19 +150,19 @@ impl ReportBatch {
 
     /// The flat `(dimension index, value)` entries across all buffered
     /// reports (report boundaries are irrelevant to sum/count accumulation).
-    pub fn flat_entries(&self) -> &[(u32, f64)] {
+    pub fn flat_entries(&self) -> &[(usize, f64)] {
         &self.entries
     }
 
     /// The entries of the `i`-th buffered report.
     ///
     /// Returns `None` when `i >= reports()`.
-    pub fn report(&self, i: usize) -> Option<&[(u32, f64)]> {
+    pub fn report(&self, i: usize) -> Option<&[(usize, f64)]> {
         if i >= self.reports() {
             return None;
         }
-        let lo = self.offsets[i] as usize;
-        let hi = self.offsets[i + 1] as usize;
+        let lo = self.offsets[i];
+        let hi = self.offsets[i + 1];
         Some(&self.entries[lo..hi])
     }
 
@@ -278,8 +271,7 @@ impl IngestEngine {
     /// [`Registry::disabled`]).
     ///
     /// # Errors
-    /// Returns [`ProtocolError::InvalidConfig`] when `dims` is zero or too
-    /// large for the batch index width.
+    /// Returns [`ProtocolError::InvalidConfig`] when `dims` is zero.
     pub fn new(dims: usize, config: IngestConfig) -> crate::Result<Self> {
         Self::with_telemetry(dims, config, &Registry::disabled())
     }
@@ -552,8 +544,8 @@ mod tests {
         assert_eq!(batch.entries(), 3);
         assert!(batch.is_full());
         assert_eq!(batch.flat_entries(), &[(0, 1.0), (3, -1.0), (1, 0.5)]);
-        assert_eq!(batch.report(0), Some(&[(0u32, 1.0), (3, -1.0)][..]));
-        assert_eq!(batch.report(1), Some(&[(1u32, 0.5)][..]));
+        assert_eq!(batch.report(0), Some(&[(0usize, 1.0), (3, -1.0)][..]));
+        assert_eq!(batch.report(1), Some(&[(1usize, 0.5)][..]));
         assert_eq!(batch.report(2), Some(&[][..]));
         assert_eq!(batch.report(3), None);
     }

@@ -182,7 +182,7 @@ impl ShardAccumulator {
             return Err(batch_dims_mismatch(batch.dims(), self.dims()));
         }
         for &(dim, value) in batch.flat_entries() {
-            let partial = &mut self.partials[dim as usize];
+            let partial = &mut self.partials[dim];
             partial.sum += value;
             partial.count += 1;
         }

@@ -32,6 +32,7 @@
 
 use crate::{Result, WorkloadError};
 use hdldp_mechanisms::{Bound, Mechanism};
+use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
 /// Identifier for the categorical frequency oracles shipped with this crate.
@@ -173,7 +174,7 @@ impl CategoricalOracle {
     pub fn perturb_into(
         &self,
         value: usize,
-        rng: &mut dyn RngCore,
+        rng: &mut StdRng,
         out: &mut Vec<(usize, f64)>,
     ) -> Result<()> {
         if value >= self.categories {
@@ -185,16 +186,17 @@ impl CategoricalOracle {
         match self.kind {
             OracleKind::Grr => {
                 let reported = self.grr_report(value, rng);
-                for j in 0..self.categories {
-                    out.push((j, if j == reported { self.high } else { self.low }));
-                }
+                out.extend(
+                    (0..self.categories)
+                        .map(|j| (j, if j == reported { self.high } else { self.low })),
+                );
             }
             OracleKind::Oue => {
-                for j in 0..self.categories {
-                    let keep = if j == value { self.p } else { self.q };
-                    let bit = rng.gen_bool(keep);
-                    out.push((j, if bit { self.high } else { self.low }));
-                }
+                let (on, off) = (bernoulli_threshold(self.p), bernoulli_threshold(self.q));
+                out.extend((0..self.categories).map(|j| {
+                    let bit = draw_below(rng, if j == value { on } else { off });
+                    (j, if bit { self.high } else { self.low })
+                }));
             }
         }
         Ok(())
@@ -205,14 +207,17 @@ impl CategoricalOracle {
     /// benches and [`CategoricalOracle::estimate_from_counts`].
     ///
     /// # Errors
-    /// Returns [`WorkloadError::ValueOutOfDomain`] on the first value `>= k`.
+    /// Returns [`WorkloadError::InvalidConfig`], before any draw, when
+    /// `counts` does not hold exactly `k` slots, and
+    /// [`WorkloadError::ValueOutOfDomain`] on the first value `>= k`.
     pub fn accumulate_counts(
         &self,
         values: &[usize],
-        rng: &mut dyn RngCore,
+        rng: &mut StdRng,
         counts: &mut [u64],
     ) -> Result<()> {
-        debug_assert_eq!(counts.len(), self.categories);
+        self.check_counts_len(counts)?;
+        let (on, off) = (bernoulli_threshold(self.p), bernoulli_threshold(self.q));
         for &value in values {
             if value >= self.categories {
                 return Err(WorkloadError::ValueOutOfDomain {
@@ -224,10 +229,7 @@ impl CategoricalOracle {
                 OracleKind::Grr => counts[self.grr_report(value, rng)] += 1,
                 OracleKind::Oue => {
                     for (j, slot) in counts.iter_mut().enumerate() {
-                        let keep = if j == value { self.p } else { self.q };
-                        if rng.gen_bool(keep) {
-                            *slot += 1;
-                        }
+                        *slot += u64::from(draw_below(rng, if j == value { on } else { off }));
                     }
                 }
             }
@@ -248,16 +250,7 @@ impl CategoricalOracle {
                 reason: "cannot estimate frequencies from zero reports".into(),
             });
         }
-        if counts.len() != self.categories {
-            return Err(WorkloadError::InvalidConfig {
-                name: "counts",
-                reason: format!(
-                    "expected {} categories, got {}",
-                    self.categories,
-                    counts.len()
-                ),
-            });
-        }
+        self.check_counts_len(counts)?;
         let n = n as f64;
         let gap = self.p - self.q;
         Ok(counts
@@ -274,9 +267,25 @@ impl CategoricalOracle {
         OracleEntryMechanism { oracle: *self }
     }
 
+    /// Reject a count vector that does not hold exactly one slot per
+    /// category.
+    fn check_counts_len(&self, counts: &[u64]) -> Result<()> {
+        if counts.len() == self.categories {
+            return Ok(());
+        }
+        Err(WorkloadError::InvalidConfig {
+            name: "counts",
+            reason: format!(
+                "expected {} categories, got {}",
+                self.categories,
+                counts.len()
+            ),
+        })
+    }
+
     /// GRR's reported category: keep `value` w.p. `p`, else uniform over the
     /// other `k − 1` categories.
-    fn grr_report(&self, value: usize, rng: &mut dyn RngCore) -> usize {
+    fn grr_report(&self, value: usize, rng: &mut StdRng) -> usize {
         if rng.gen_bool(self.p) {
             value
         } else {
@@ -288,6 +297,23 @@ impl CategoricalOracle {
             }
         }
     }
+}
+
+/// `⌈p·2⁵³⌉`, the integer threshold at which [`draw_below`] decides exactly
+/// as the vendored `Rng::gen_bool(p)` does on the same draw, for `p` in
+/// `[0, 1]`.
+///
+/// `gen_bool` tests `a·2⁻⁵³ < p` for the 53-bit integer
+/// `a = next_u64() >> 11`. Scaling either side by 2⁵³ is exact in `f64`,
+/// and for an integer `a` the test `a < x` holds exactly when `a < ⌈x⌉`.
+fn bernoulli_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
+}
+
+/// One Bernoulli draw against a [`bernoulli_threshold`]: the single
+/// `next_u64` that `gen_bool` consumes, compared as an integer.
+fn draw_below<R: RngCore>(rng: &mut R, threshold: u64) -> bool {
+    (rng.next_u64() >> 11) < threshold
 }
 
 /// The calibrated per-entry marginal of a [`CategoricalOracle`] as a
@@ -340,7 +366,7 @@ impl Mechanism for OracleEntryMechanism {
         (self.oracle.low, self.oracle.high)
     }
 
-    fn perturb(&self, t: f64, rng: &mut dyn RngCore) -> f64 {
+    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         let t = Self::clamp_input(t);
         let bit = rng.gen_bool(t);
         let keep = if bit { self.oracle.p } else { self.oracle.q };
@@ -554,5 +580,211 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let out = m.perturb(f64::NAN, &mut rng);
         assert!(out == oracle.calibrated_one() || out == oracle.calibrated_zero());
+    }
+
+    /// The per-entry GRR/OUE loops `perturb_into` replaced: `gen_bool` or
+    /// `gen_range` per draw, then one `push` per category.
+    fn reference_perturb_into(
+        oracle: &CategoricalOracle,
+        value: usize,
+        rng: &mut StdRng,
+        out: &mut Vec<(usize, f64)>,
+    ) {
+        let (high, low) = (oracle.calibrated_one(), oracle.calibrated_zero());
+        match oracle.kind() {
+            OracleKind::Grr => {
+                let reported = reference_grr_report(oracle, value, rng);
+                for j in 0..oracle.categories() {
+                    out.push((j, if j == reported { high } else { low }));
+                }
+            }
+            OracleKind::Oue => {
+                for j in 0..oracle.categories() {
+                    let keep = if j == value { oracle.p() } else { oracle.q() };
+                    let bit = rng.gen_bool(keep);
+                    out.push((j, if bit { high } else { low }));
+                }
+            }
+        }
+    }
+
+    /// The per-entry count loops `accumulate_counts` replaced.
+    fn reference_accumulate_counts(
+        oracle: &CategoricalOracle,
+        values: &[usize],
+        rng: &mut StdRng,
+        counts: &mut [u64],
+    ) {
+        for &value in values {
+            match oracle.kind() {
+                OracleKind::Grr => counts[reference_grr_report(oracle, value, rng)] += 1,
+                OracleKind::Oue => {
+                    for (j, slot) in counts.iter_mut().enumerate() {
+                        let keep = if j == value { oracle.p() } else { oracle.q() };
+                        if rng.gen_bool(keep) {
+                            *slot += 1;
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    fn reference_grr_report(oracle: &CategoricalOracle, value: usize, rng: &mut StdRng) -> usize {
+        if rng.gen_bool(oracle.p()) {
+            value
+        } else {
+            let other = rng.gen_range(0..oracle.categories() - 1);
+            if other >= value {
+                other + 1
+            } else {
+                other
+            }
+        }
+    }
+
+    const EXACTNESS_CATEGORIES: [usize; 5] = [2, 3, 16, 256, 1000];
+    const EXACTNESS_EPSILONS: [f64; 4] = [0.01, 0.5, 4.0, 30.0];
+
+    /// Seeds per grid point: more where a report is short.
+    fn exactness_seeds(k: usize) -> u64 {
+        if k <= 16 {
+            16
+        } else {
+            2
+        }
+    }
+
+    #[test]
+    fn perturb_into_matches_the_per_entry_reference_bit_for_bit() {
+        for kind in OracleKind::ALL {
+            for k in EXACTNESS_CATEGORIES {
+                for epsilon in EXACTNESS_EPSILONS {
+                    let oracle = CategoricalOracle::new(kind, k, epsilon).unwrap();
+                    for seed in 0..exactness_seeds(k) {
+                        let mut fast_rng = StdRng::seed_from_u64(seed);
+                        let mut reference_rng = StdRng::seed_from_u64(seed);
+                        let (mut fast, mut reference) = (vec![(7, 0.5)], vec![(7, 0.5)]);
+                        for value in 0..k {
+                            oracle
+                                .perturb_into(value, &mut fast_rng, &mut fast)
+                                .unwrap();
+                            reference_perturb_into(
+                                &oracle,
+                                value,
+                                &mut reference_rng,
+                                &mut reference,
+                            );
+                        }
+                        let bits = |entries: &[(usize, f64)]| -> Vec<(usize, u64)> {
+                            entries.iter().map(|&(j, v)| (j, v.to_bits())).collect()
+                        };
+                        let at = format!("{kind:?} k={k} eps={epsilon} seed={seed}");
+                        assert_eq!(bits(&fast), bits(&reference), "{at}");
+                        assert_eq!(fast_rng, reference_rng, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_counts_matches_the_per_entry_reference_bit_for_bit() {
+        for kind in OracleKind::ALL {
+            for k in EXACTNESS_CATEGORIES {
+                for epsilon in EXACTNESS_EPSILONS {
+                    let oracle = CategoricalOracle::new(kind, k, epsilon).unwrap();
+                    let values: Vec<usize> = (0..k).chain((0..k).rev()).collect();
+                    for seed in 0..exactness_seeds(k) {
+                        let mut fast_rng = StdRng::seed_from_u64(seed);
+                        let mut reference_rng = StdRng::seed_from_u64(seed);
+                        let (mut fast, mut reference) = (vec![3u64; k], vec![3u64; k]);
+                        oracle
+                            .accumulate_counts(&values, &mut fast_rng, &mut fast)
+                            .unwrap();
+                        reference_accumulate_counts(
+                            &oracle,
+                            &values,
+                            &mut reference_rng,
+                            &mut reference,
+                        );
+                        let at = format!("{kind:?} k={k} eps={epsilon} seed={seed}");
+                        assert_eq!(fast, reference, "{at}");
+                        assert_eq!(fast_rng, reference_rng, "{at}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A generator whose next draw is fixed, to feed `gen_bool` the draws
+    /// on each side of a threshold.
+    struct FixedDraw(u64);
+
+    impl RngCore for FixedDraw {
+        fn next_u32(&mut self) -> u32 {
+            (self.0 >> 32) as u32
+        }
+
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+
+        fn fill_bytes(&mut self, dest: &mut [u8]) {
+            for chunk in dest.chunks_mut(8) {
+                chunk.copy_from_slice(&self.0.to_le_bytes()[..chunk.len()]);
+            }
+        }
+    }
+
+    #[test]
+    fn integer_threshold_decides_exactly_as_gen_bool() {
+        const TOP: u64 = 1 << 53;
+        let mut probabilities = vec![0.0, 1.0 / TOP as f64, 0.5, 1.0 - 1.0 / TOP as f64, 1.0];
+        for kind in OracleKind::ALL {
+            for k in EXACTNESS_CATEGORIES {
+                for step in 1..=300 {
+                    let oracle = CategoricalOracle::new(kind, k, step as f64 * 0.1).unwrap();
+                    probabilities.extend([oracle.p(), oracle.q()]);
+                }
+            }
+        }
+        for p in probabilities {
+            let threshold = bernoulli_threshold(p);
+            assert!(threshold <= TOP, "p={p}");
+            // The 53-bit draws around the threshold (and both ends of the
+            // range), each with its 11 discarded low bits clear and set.
+            let around = threshold.saturating_sub(2)..=(threshold + 1).min(TOP - 1);
+            for a in around.chain([0, TOP - 1]) {
+                for draw in [a << 11, (a << 11) | 0x7FF] {
+                    assert_eq!(
+                        draw_below(&mut FixedDraw(draw), threshold),
+                        FixedDraw(draw).gen_bool(p),
+                        "p={p} a={a}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_counts_rejects_a_count_vector_of_the_wrong_length() {
+        for kind in OracleKind::ALL {
+            let oracle = CategoricalOracle::new(kind, 8, 1.0).unwrap();
+            let mut rng = StdRng::seed_from_u64(4);
+            let untouched = rng.clone();
+            for len in [3, 9] {
+                let mut counts = vec![0u64; len];
+                let err = oracle
+                    .accumulate_counts(&[0, 5, 7], &mut rng, &mut counts)
+                    .unwrap_err();
+                assert!(
+                    matches!(err, WorkloadError::InvalidConfig { name: "counts", .. }),
+                    "{kind:?}: {err}"
+                );
+                assert_eq!(counts, vec![0u64; len], "{kind:?}");
+                assert_eq!(rng, untouched, "{kind:?}: no draw before the check");
+            }
+        }
     }
 }
