@@ -9,7 +9,7 @@ use crate::discretize::DiscreteValueDistribution;
 use crate::DataError;
 use hdldp_math::stats;
 use rayon::prelude::*;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 
 /// Column-block width for the profile kernel. Eight `f64` lanes keep the
 /// accumulators in registers (one AVX-512 vector / two AVX2 vectors) while the
@@ -31,6 +31,8 @@ pub struct Dataset {
     /// Values are immutable after construction, so the memo can never go
     /// stale; clones start with an empty memo.
     profile_memo: Mutex<Option<Arc<ColumnProfiles>>>,
+    /// Lazily computed [`Dataset::true_means`], memoised like the profiles.
+    means_memo: OnceLock<Vec<f64>>,
 }
 
 impl Clone for Dataset {
@@ -40,6 +42,7 @@ impl Clone for Dataset {
             dims: self.dims,
             values: self.values.clone(),
             profile_memo: Mutex::new(None),
+            means_memo: OnceLock::new(),
         }
     }
 }
@@ -84,6 +87,7 @@ impl Dataset {
             dims,
             values,
             profile_memo: Mutex::new(None),
+            means_memo: OnceLock::new(),
         })
     }
 
@@ -150,10 +154,18 @@ impl Dataset {
     }
 
     /// The true per-dimension means `θ̄` (ground truth for utility metrics).
+    ///
+    /// Memoised: the first call sweeps the dataset once and later calls copy
+    /// the `d` cached means, so a sweep that runs many pipelines over one
+    /// dataset reads it once.
     pub fn true_means(&self) -> Vec<f64> {
-        stats::column_means(&self.values, self.users, self.dims)
-            // lint:allow(no-panic-in-lib) values.len() == users * dims is enforced by from_rows, which is exactly what column_means validates
-            .expect("shape validated at construction")
+        self.means_memo
+            .get_or_init(|| {
+                stats::column_means(&self.values, self.users, self.dims)
+                    // lint:allow(no-panic-in-lib) values.len() == users * dims is enforced by from_rows, which is exactly what column_means validates
+                    .expect("shape validated at construction")
+            })
+            .clone()
     }
 
     /// Smallest and largest value in each column.
@@ -482,6 +494,21 @@ mod tests {
         let means = d.true_means();
         assert!((means[0] - 0.0).abs() < 1e-12);
         assert!((means[1] - 0.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn true_means_memo_matches_column_means_and_clones_recompute() {
+        let users = 37;
+        let dims = 5;
+        let values: Vec<f64> = (0..users * dims).map(|k| (k as f64 * 0.7).sin()).collect();
+        let d = Dataset::from_rows(users, dims, values.clone()).unwrap();
+        let bits = |means: &[f64]| -> Vec<u64> { means.iter().map(|m| m.to_bits()).collect() };
+        let expected = bits(&stats::column_means(&values, users, dims).unwrap());
+        assert_eq!(bits(&d.true_means()), expected);
+        assert_eq!(bits(&d.true_means()), expected, "stable across calls");
+        let clone = d.clone();
+        assert!(clone.means_memo.get().is_none(), "clones start empty");
+        assert_eq!(bits(&clone.true_means()), expected);
     }
 
     #[test]

@@ -11,15 +11,18 @@
 //! "binary output" baseline that Piecewise/Hybrid improve on. It is also the
 //! non-Piecewise component of the [`crate::HybridMechanism`].
 
+use crate::draw;
 use crate::error::check_epsilon;
-use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use crate::mechanism::{clamp_to_domain, perturb_in_chunks, Bound, Mechanism};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::RngCore;
 
 /// Duchi et al. binary mechanism on the input domain `[-1, 1]`.
 #[derive(Debug, Clone)]
 pub struct DuchiMechanism {
     epsilon: f64,
+    /// `e^ε`.
+    exp_eps: f64,
     /// Output magnitude `B = (e^ε + 1)/(e^ε − 1)`.
     b: f64,
 }
@@ -29,12 +32,23 @@ impl DuchiMechanism {
     ///
     /// # Errors
     /// Returns [`crate::MechanismError::InvalidEpsilon`] when `epsilon` is not
-    /// positive and finite.
+    /// positive and finite, and [`crate::MechanismError::InvalidParameter`]
+    /// when it is so large that `e^ε` overflows (from `ε ≈ 709.8`).
     pub fn new(epsilon: f64) -> crate::Result<Self> {
         let epsilon = check_epsilon(epsilon)?;
-        let e = epsilon.exp();
-        let b = (e + 1.0) / (e - 1.0);
-        Ok(Self { epsilon, b })
+        let exp_eps = epsilon.exp();
+        if !exp_eps.is_finite() {
+            return Err(crate::MechanismError::InvalidParameter {
+                name: "epsilon",
+                reason: format!("epsilon {epsilon} is too large: e^epsilon overflows"),
+            });
+        }
+        let b = (exp_eps + 1.0) / (exp_eps - 1.0);
+        Ok(Self {
+            epsilon,
+            exp_eps,
+            b,
+        })
     }
 
     /// The output magnitude `B`.
@@ -45,8 +59,20 @@ impl DuchiMechanism {
     /// Probability of reporting `+B` for input `t`.
     pub fn prob_positive(&self, t: f64) -> f64 {
         let t = clamp_to_domain(t, -1.0, 1.0);
-        let e = self.epsilon.exp();
+        let e = self.exp_eps;
         0.5 + t * (e - 1.0) / (2.0 * (e + 1.0))
+    }
+
+    /// Perturb `t` from the one word its coin takes, branch-free: `+B` with
+    /// probability [`DuchiMechanism::prob_positive`], else `−B`.
+    #[inline]
+    pub(crate) fn report(&self, t: f64, [coin]: [u64; 1]) -> f64 {
+        let p = self.prob_positive(t);
+        if draw::bernoulli(coin, p.clamp(0.0, 1.0)) {
+            self.b
+        } else {
+            -self.b
+        }
     }
 }
 
@@ -72,12 +98,11 @@ impl Mechanism for DuchiMechanism {
     }
 
     fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
-        let p = self.prob_positive(t);
-        if rng.gen_bool(p.clamp(0.0, 1.0)) {
-            self.b
-        } else {
-            -self.b
-        }
+        self.report(t, [rng.next_u64()])
+    }
+
+    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
+        perturb_in_chunks(entries, rng, |t, words| self.report(t, words));
     }
 
     fn bias(&self, _t: f64) -> f64 {
@@ -108,6 +133,8 @@ mod tests {
         assert!(DuchiMechanism::new(1.0).is_ok());
         assert!(DuchiMechanism::new(0.0).is_err());
         assert!(DuchiMechanism::new(-3.0).is_err());
+        assert!(DuchiMechanism::new(709.0).is_ok());
+        assert!(DuchiMechanism::new(710.0).is_err()); // e^710 overflows
     }
 
     #[test]

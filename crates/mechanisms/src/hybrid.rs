@@ -40,7 +40,9 @@ impl HybridMechanism {
     ///
     /// # Errors
     /// Returns [`crate::MechanismError::InvalidEpsilon`] when `epsilon` is not
-    /// positive and finite (or too extreme for the Piecewise component).
+    /// positive and finite, and [`crate::MechanismError::InvalidParameter`]
+    /// when it is too extreme for the Piecewise component (see
+    /// [`PiecewiseMechanism::new`]).
     pub fn new(epsilon: f64) -> crate::Result<Self> {
         let epsilon = check_epsilon(epsilon)?;
         let alpha = if epsilon > HYBRID_EPSILON_THRESHOLD {
@@ -102,6 +104,10 @@ impl Mechanism for HybridMechanism {
         (-b, b)
     }
 
+    /// Reports go through the provided per-value `perturb_entries`: a value
+    /// takes one mixing coin (none when `α = 0`) and then the 2 words of a
+    /// Piecewise report or the 1 word of a Duchi report, so its word count
+    /// depends on the coin and a chunk's words cannot be drawn ahead.
     fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
         if self.alpha > 0.0 && rng.gen_bool(self.alpha) {
             self.piecewise.perturb(t, rng)

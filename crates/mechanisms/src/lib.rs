@@ -32,11 +32,17 @@
 //! different input interval (used to run the natively-`[0,1]` Square Wave
 //! mechanism on `[-1,1]`-normalized data and to run `[-1,1]` mechanisms on the
 //! `[0,1]` entries of histogram-encoded categorical data).
+//!
+//! Every draw a mechanism makes is a vendored `rand` draw on one 64-bit
+//! word. The [`draw`] module gives those draws as pure functions of the word,
+//! which is how the Piecewise, Square Wave and Duchi mechanisms perturb a
+//! whole report in two passes: draw every word first, then transform.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
+pub mod draw;
 pub mod duchi;
 pub mod error;
 pub mod hybrid;

@@ -10,6 +10,7 @@
 //! protocol.
 
 use rand::rngs::StdRng;
+use rand::RngCore;
 use serde::{Deserialize, Serialize};
 
 /// Whether a mechanism's output support is finite (`Bound(M) = 1` in the
@@ -143,10 +144,16 @@ pub trait Mechanism: Send + Sync {
     /// Perturb the value half of every `(dimension, value)` entry in place,
     /// in order; the dimensions are left as they are.
     ///
-    /// Equivalent to calling [`Mechanism::perturb`] on each value in turn
-    /// (same RNG draws, bit-identical results), but as one dynamic dispatch
-    /// per report: each implementation gets its own copy of this provided
-    /// method, in which `perturb` is a static call the compiler can inline.
+    /// The contract is the per-value loop: an implementation consumes the
+    /// same words from `rng`, in the same order, as calling
+    /// [`Mechanism::perturb`] on each value in turn, and writes bit-identical
+    /// results. The provided method is that loop, as one dynamic dispatch
+    /// per report: each implementation gets its own copy, in which `perturb`
+    /// is a static call the compiler can inline. An implementation whose
+    /// values each take a fixed number of words may instead draw a chunk's
+    /// words first, in entry order, and then transform the chunk; the
+    /// Piecewise, Square Wave and Duchi mechanisms do, through their
+    /// word-level `report` functions and the [`crate::draw`] forms.
     fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
         for (_, value) in entries {
             *value = self.perturb(*value, rng);
@@ -186,6 +193,37 @@ pub trait Mechanism: Send + Sync {
     /// `true` when `δ(t) = 0` for every `t` (unbiased estimation).
     fn is_unbiased(&self) -> bool {
         false
+    }
+}
+
+/// Entries per chunk of [`perturb_in_chunks`]: 32 entries of `K ≤ 2` words
+/// keep the word buffer within 512 bytes of stack.
+const CHUNK: usize = 32;
+
+/// The two-pass `perturb_entries` of a mechanism whose every value takes
+/// exactly `K` words: `report(t, words)` perturbs `t` from the words `perturb`
+/// would draw for it.
+///
+/// Each chunk of [`CHUNK`] entries is walked twice. The first pass draws
+/// every entry's `K` words, in entry order, into an on-stack buffer, which
+/// is the order of the per-value loop. The second pass applies `report` to
+/// each entry and its words; it no longer touches the generator, so the
+/// compiler may vectorise it.
+pub(crate) fn perturb_in_chunks<const K: usize>(
+    entries: &mut [(usize, f64)],
+    rng: &mut StdRng,
+    report: impl Fn(f64, [u64; K]) -> f64,
+) {
+    let mut words = [[0u64; K]; CHUNK];
+    for chunk in entries.chunks_mut(CHUNK) {
+        for slot in words.iter_mut().take(chunk.len()) {
+            for word in slot.iter_mut() {
+                *word = rng.next_u64();
+            }
+        }
+        for ((_, value), &drawn) in chunk.iter_mut().zip(&words) {
+            *value = report(*value, drawn);
+        }
     }
 }
 

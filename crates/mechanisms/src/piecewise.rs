@@ -15,10 +15,11 @@
 //! `σ² = 533.210` in Equation 15 is only reproduced with the `t²` form, which
 //! is also the form in the original Piecewise-mechanism paper).
 
+use crate::draw;
 use crate::error::check_epsilon;
-use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use crate::mechanism::{clamp_to_domain, perturb_in_chunks, Bound, Mechanism};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::RngCore;
 
 /// Piecewise mechanism on the input domain `[-1, 1]`.
 #[derive(Debug, Clone)]
@@ -28,6 +29,12 @@ pub struct PiecewiseMechanism {
     exp_half: f64,
     /// Output bound `Q`.
     q: f64,
+    /// `(Q + 1)/2`, the slope of `l(t)`.
+    half_q_plus: f64,
+    /// `(Q − 1)/2`, the offset of `l(t)`.
+    half_q_minus: f64,
+    /// `e^{ε/2}/(e^{ε/2} + 1)`, the probability of reporting inside the band.
+    prob_in_band: f64,
 }
 
 impl PiecewiseMechanism {
@@ -35,25 +42,33 @@ impl PiecewiseMechanism {
     ///
     /// # Errors
     /// Returns [`crate::MechanismError::InvalidEpsilon`] when `epsilon` is not
-    /// positive and finite.
+    /// positive and finite, and [`crate::MechanismError::InvalidParameter`]
+    /// when it is so large that the band collapses in `f64` (`Q` rounds to
+    /// 1, from `ε ≈ 73.5`) or `e^{ε/2}` overflows.
     pub fn new(epsilon: f64) -> crate::Result<Self> {
         let epsilon = check_epsilon(epsilon)?;
         let exp_half = (epsilon / 2.0).exp();
-        // Guard against overflow for extreme budgets: e^{ε/2} = inf would make
-        // every derived quantity NaN. For ε beyond ~1400 the mechanism is
-        // essentially noiseless anyway; treat it as invalid input instead of
-        // returning NaNs.
-        if !exp_half.is_finite() || exp_half <= 1.0 {
+        let q = (exp_half + 1.0) / (exp_half - 1.0);
+        // Reject budgets whose band cannot be represented. Once e^{ε/2}
+        // passes ~2⁵³, Q rounds to exactly 1: the band [l, r] has width
+        // Q − 1 = 0 and r = (l + Q) − 1 rounds below l, so no report can be
+        // drawn from it. For ε beyond ~1400, e^{ε/2} = inf would make every
+        // derived quantity NaN. The mechanism is essentially noiseless at
+        // such budgets anyway; treat them as invalid input instead of
+        // returning values outside the band.
+        if !exp_half.is_finite() || exp_half <= 1.0 || q <= 1.0 {
             return Err(crate::MechanismError::InvalidParameter {
                 name: "epsilon",
                 reason: format!("epsilon {epsilon} is too extreme for the Piecewise mechanism"),
             });
         }
-        let q = (exp_half + 1.0) / (exp_half - 1.0);
         Ok(Self {
             epsilon,
             exp_half,
             q,
+            half_q_plus: (q + 1.0) / 2.0,
+            half_q_minus: (q - 1.0) / 2.0,
+            prob_in_band: exp_half / (exp_half + 1.0),
         })
     }
 
@@ -65,7 +80,7 @@ impl PiecewiseMechanism {
     /// Left edge `l(t)` of the high-probability band.
     pub fn band_left(&self, t: f64) -> f64 {
         let t = clamp_to_domain(t, -1.0, 1.0);
-        (self.q + 1.0) / 2.0 * t - (self.q - 1.0) / 2.0
+        self.half_q_plus * t - self.half_q_minus
     }
 
     /// Right edge `r(t) = l(t) + Q − 1` of the high-probability band.
@@ -87,7 +102,37 @@ impl PiecewiseMechanism {
     /// Probability that the report falls inside the high-probability band,
     /// `e^{ε/2} / (e^{ε/2} + 1)`.
     pub fn prob_in_band(&self) -> f64 {
-        self.exp_half / (self.exp_half + 1.0)
+        self.prob_in_band
+    }
+
+    /// Perturb `t` from its two words: `coin` decides between the band and
+    /// the rest, `position` places the report.
+    ///
+    /// Branch-free: both candidates come from the same position word, the
+    /// in-band one uniform on `[l, r]` and the out-of-band one uniform over
+    /// `[-Q, l) ∪ (r, Q]` in proportion to the two pieces' lengths, and the
+    /// coin selects one. Each is exactly what the vendored `gen_range` would
+    /// return on `position`: `l ≤ r` because construction keeps `Q > 1`,
+    /// and the pieces' total length is about `Q + 1 > 0`.
+    #[inline]
+    pub(crate) fn report(&self, t: f64, [coin, position]: [u64; 2]) -> f64 {
+        let t = clamp_to_domain(t, -1.0, 1.0);
+        let l = self.half_q_plus * t - self.half_q_minus;
+        let r = l + self.q - 1.0;
+        let inside = draw::uniform_inclusive(position, l, r);
+        let left_len = l - (-self.q);
+        let right_len = self.q - r;
+        let u = draw::uniform_half_open(position, 0.0, left_len + right_len);
+        let outside = if u < left_len {
+            -self.q + u
+        } else {
+            r + (u - left_len)
+        };
+        if draw::bernoulli(coin, self.prob_in_band) {
+            inside
+        } else {
+            outside
+        }
     }
 }
 
@@ -113,30 +158,11 @@ impl Mechanism for PiecewiseMechanism {
     }
 
     fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
-        let t = clamp_to_domain(t, -1.0, 1.0);
-        let l = self.band_left(t);
-        let r = self.band_right(t);
-        if rng.gen_bool(self.prob_in_band()) {
-            // Uniform inside [l, r].
-            rng.gen_range(l..=r)
-        } else {
-            // Uniform over [-Q, l) ∪ (r, Q], proportionally to the lengths of
-            // the two pieces.
-            let left_len = l - (-self.q);
-            let right_len = self.q - r;
-            let total = left_len + right_len;
-            if total <= 0.0 {
-                // Degenerate only if Q = 1 (impossible for finite ε), but keep
-                // a safe fallback.
-                return rng.gen_range(l..=r);
-            }
-            let u: f64 = rng.gen_range(0.0..total);
-            if u < left_len {
-                -self.q + u
-            } else {
-                r + (u - left_len)
-            }
-        }
+        self.report(t, [rng.next_u64(), rng.next_u64()])
+    }
+
+    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
+        perturb_in_chunks(entries, rng, |t, words| self.report(t, words));
     }
 
     fn bias(&self, _t: f64) -> f64 {

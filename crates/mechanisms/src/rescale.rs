@@ -24,9 +24,10 @@ pub struct Rescaled<M> {
     inner: M,
     lo: f64,
     hi: f64,
-    /// Native domain of the inner mechanism.
+    /// Lower end of the inner mechanism's native domain.
     native_lo: f64,
-    native_hi: f64,
+    /// Scale factor from the native domain to the exposed domain.
+    scale: f64,
 }
 
 impl<M: Mechanism> Rescaled<M> {
@@ -48,7 +49,7 @@ impl<M: Mechanism> Rescaled<M> {
             lo,
             hi,
             native_lo,
-            native_hi,
+            scale: (hi - lo) / (native_hi - native_lo),
         })
     }
 
@@ -57,20 +58,16 @@ impl<M: Mechanism> Rescaled<M> {
         &self.inner
     }
 
-    /// Scale factor from the native domain to the exposed domain.
-    fn scale(&self) -> f64 {
-        (self.hi - self.lo) / (self.native_hi - self.native_lo)
-    }
-
-    /// Map an exposed-domain value to the native domain.
+    /// Clamp an exposed-domain value onto `[lo, hi]` and map it to the
+    /// native domain.
     fn to_native(&self, x: f64) -> f64 {
-        self.native_lo + (x - self.lo) / self.scale()
+        self.native_lo + (x.clamp(self.lo, self.hi) - self.lo) / self.scale
     }
 
     /// Map a native-domain value to the exposed domain.
     #[allow(clippy::wrong_self_convention)]
     fn from_native(&self, u: f64) -> f64 {
-        self.lo + (u - self.native_lo) * self.scale()
+        self.lo + (u - self.native_lo) * self.scale
     }
 }
 
@@ -108,18 +105,28 @@ impl<M: Mechanism> Mechanism for Rescaled<M> {
     }
 
     fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
-        let u = self.to_native(t.clamp(self.lo, self.hi));
-        self.from_native(self.inner.perturb(u, rng))
+        self.from_native(self.inner.perturb(self.to_native(t), rng))
+    }
+
+    /// Maps the whole report into the native domain, runs the inner
+    /// mechanism's `perturb_entries` on it once, and maps it back. The maps
+    /// draw nothing, so this consumes the words of the per-value loop.
+    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
+        for (_, value) in entries.iter_mut() {
+            *value = self.to_native(*value);
+        }
+        self.inner.perturb_entries(entries, rng);
+        for (_, value) in entries.iter_mut() {
+            *value = self.from_native(*value);
+        }
     }
 
     fn bias(&self, t: f64) -> f64 {
-        let u = self.to_native(t.clamp(self.lo, self.hi));
-        self.scale() * self.inner.bias(u)
+        self.scale * self.inner.bias(self.to_native(t))
     }
 
     fn variance(&self, t: f64) -> f64 {
-        let u = self.to_native(t.clamp(self.lo, self.hi));
-        self.scale() * self.scale() * self.inner.variance(u)
+        self.scale * self.scale * self.inner.variance(self.to_native(t))
     }
 
     fn is_unbiased(&self) -> bool {

@@ -16,10 +16,11 @@
 //! To use it on `[-1, 1]`-normalized data wrap it in
 //! [`crate::Rescaled`] (that is what [`crate::build_mechanism`] does).
 
+use crate::draw;
 use crate::error::check_epsilon;
-use crate::mechanism::{clamp_to_domain, Bound, Mechanism};
+use crate::mechanism::{clamp_to_domain, perturb_in_chunks, Bound, Mechanism};
 use rand::rngs::StdRng;
-use rand::Rng;
+use rand::RngCore;
 
 /// Square Wave mechanism on its native input domain `[0, 1]`.
 #[derive(Debug, Clone)]
@@ -29,6 +30,9 @@ pub struct SquareWaveMechanism {
     b: f64,
     /// `e^ε`.
     exp_eps: f64,
+    /// [`SquareWaveMechanism::prob_in_band`] clamped to `[0, 1]`: the
+    /// probability with which a report's coin picks the band.
+    coin_probability: f64,
 }
 
 impl SquareWaveMechanism {
@@ -36,7 +40,9 @@ impl SquareWaveMechanism {
     ///
     /// # Errors
     /// Returns [`crate::MechanismError::InvalidEpsilon`] when `epsilon` is not
-    /// positive and finite, or so large that `e^ε` overflows.
+    /// positive and finite, and [`crate::MechanismError::InvalidParameter`]
+    /// when it is so large that `e^ε` overflows or the band half-width `b`
+    /// is not finite (`ε·e^ε` overflows from `ε ≈ 703`).
     pub fn new(epsilon: f64) -> crate::Result<Self> {
         let epsilon = check_epsilon(epsilon)?;
         let exp_eps = epsilon.exp();
@@ -47,11 +53,20 @@ impl SquareWaveMechanism {
             });
         }
         let b = Self::band_half_width(epsilon);
-        Ok(Self {
+        if !b.is_finite() {
+            return Err(crate::MechanismError::InvalidParameter {
+                name: "epsilon",
+                reason: format!("epsilon {epsilon} is too large: the band half-width is {b}"),
+            });
+        }
+        let mut mechanism = Self {
             epsilon,
             b,
             exp_eps,
-        })
+            coin_probability: 0.0,
+        };
+        mechanism.coin_probability = mechanism.prob_in_band().clamp(0.0, 1.0);
+        Ok(mechanism)
     }
 
     /// The band half-width `b(ε)`.
@@ -89,6 +104,28 @@ impl SquareWaveMechanism {
     pub fn prob_in_band(&self) -> f64 {
         2.0 * self.b * self.exp_eps / (2.0 * self.b * self.exp_eps + 1.0)
     }
+
+    /// Perturb `t` from its two words: `coin` decides between the band and
+    /// the rest, `position` places the report.
+    ///
+    /// Branch-free: both candidates come from the same position word, the
+    /// in-band one uniform on `[t − b, t + b]` and the out-of-band one
+    /// uniform over `[-b, t − b) ∪ (t + b, 1 + b]`, and the coin selects one.
+    /// Each is exactly what the vendored draw would return on `position`:
+    /// construction keeps `b` finite and non-negative.
+    #[inline]
+    pub(crate) fn report(&self, t: f64, [coin, position]: [u64; 2]) -> f64 {
+        let t = clamp_to_domain(t, 0.0, 1.0);
+        let inside = draw::uniform_inclusive(position, t - self.b, t + self.b);
+        // The two pieces have lengths t and 1 − t (total length exactly 1).
+        let u = draw::uniform_half_open(position, 0.0, 1.0);
+        let outside = if u < t { -self.b + u } else { self.b + u };
+        if draw::bernoulli(coin, self.coin_probability) {
+            inside
+        } else {
+            outside
+        }
+    }
 }
 
 impl Mechanism for SquareWaveMechanism {
@@ -114,19 +151,11 @@ impl Mechanism for SquareWaveMechanism {
     }
 
     fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
-        let t = clamp_to_domain(t, 0.0, 1.0);
-        if rng.gen_bool(self.prob_in_band().clamp(0.0, 1.0)) {
-            rng.gen_range((t - self.b)..=(t + self.b))
-        } else {
-            // Uniform over [-b, t-b) ∪ (t+b, 1+b]; the two pieces have lengths
-            // t and 1 - t respectively (total length exactly 1).
-            let u: f64 = rng.gen_range(0.0..1.0);
-            if u < t {
-                -self.b + u
-            } else {
-                self.b + u
-            }
-        }
+        self.report(t, [rng.next_u64(), rng.next_u64()])
+    }
+
+    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
+        perturb_in_chunks(entries, rng, |t, words| self.report(t, words));
     }
 
     fn bias(&self, t: f64) -> f64 {
@@ -162,6 +191,8 @@ mod tests {
         assert!(SquareWaveMechanism::new(0.0).is_err());
         assert!(SquareWaveMechanism::new(f64::NAN).is_err());
         assert!(SquareWaveMechanism::new(1e4).is_err()); // e^10000 overflows
+        assert!(SquareWaveMechanism::new(703.0).is_ok());
+        assert!(SquareWaveMechanism::new(705.0).is_err()); // ε·e^ε overflows: b is NaN
     }
 
     #[test]

@@ -281,10 +281,12 @@ mod tests {
     #[test]
     fn generous_budget_recovers_means_accurately() {
         // With a huge budget and every dimension reported, the estimate should
-        // be very close to the truth.
+        // be very close to the truth. The per-dimension budget stays below
+        // ~73.5, past which Piecewise rejects the budget: its band collapses
+        // in f64.
         let data = uniform_dataset(5_000, 4);
         let p =
-            MeanEstimationPipeline::new(MechanismKind::Piecewise, PipelineConfig::new(400.0, 4, 3))
+            MeanEstimationPipeline::new(MechanismKind::Piecewise, PipelineConfig::new(200.0, 4, 3))
                 .unwrap();
         let est = p.run(&data).unwrap();
         let utility = est.utility().unwrap();

@@ -31,6 +31,7 @@
 //! ([`hdldp_core::Hdr4me::recalibrate_frequencies`]) applies unchanged.
 
 use crate::{Result, WorkloadError};
+use hdldp_mechanisms::draw::{below_threshold, bernoulli_threshold};
 use hdldp_mechanisms::{Bound, Mechanism};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
@@ -194,7 +195,7 @@ impl CategoricalOracle {
             OracleKind::Oue => {
                 let (on, off) = (bernoulli_threshold(self.p), bernoulli_threshold(self.q));
                 out.extend((0..self.categories).map(|j| {
-                    let bit = draw_below(rng, if j == value { on } else { off });
+                    let bit = below_threshold(rng.next_u64(), if j == value { on } else { off });
                     (j, if bit { self.high } else { self.low })
                 }));
             }
@@ -229,7 +230,8 @@ impl CategoricalOracle {
                 OracleKind::Grr => counts[self.grr_report(value, rng)] += 1,
                 OracleKind::Oue => {
                     for (j, slot) in counts.iter_mut().enumerate() {
-                        *slot += u64::from(draw_below(rng, if j == value { on } else { off }));
+                        let threshold = if j == value { on } else { off };
+                        *slot += u64::from(below_threshold(rng.next_u64(), threshold));
                     }
                 }
             }
@@ -297,23 +299,6 @@ impl CategoricalOracle {
             }
         }
     }
-}
-
-/// `⌈p·2⁵³⌉`, the integer threshold at which [`draw_below`] decides exactly
-/// as the vendored `Rng::gen_bool(p)` does on the same draw, for `p` in
-/// `[0, 1]`.
-///
-/// `gen_bool` tests `a·2⁻⁵³ < p` for the 53-bit integer
-/// `a = next_u64() >> 11`. Scaling either side by 2⁵³ is exact in `f64`,
-/// and for an integer `a` the test `a < x` holds exactly when `a < ⌈x⌉`.
-fn bernoulli_threshold(p: f64) -> u64 {
-    (p * (1u64 << 53) as f64).ceil() as u64
-}
-
-/// One Bernoulli draw against a [`bernoulli_threshold`]: the single
-/// `next_u64` that `gen_bool` consumes, compared as an integer.
-fn draw_below<R: RngCore>(rng: &mut R, threshold: u64) -> bool {
-    (rng.next_u64() >> 11) < threshold
 }
 
 /// The calibrated per-entry marginal of a [`CategoricalOracle`] as a
@@ -712,56 +697,6 @@ mod tests {
                         assert_eq!(fast, reference, "{at}");
                         assert_eq!(fast_rng, reference_rng, "{at}");
                     }
-                }
-            }
-        }
-    }
-
-    /// A generator whose next draw is fixed, to feed `gen_bool` the draws
-    /// on each side of a threshold.
-    struct FixedDraw(u64);
-
-    impl RngCore for FixedDraw {
-        fn next_u32(&mut self) -> u32 {
-            (self.0 >> 32) as u32
-        }
-
-        fn next_u64(&mut self) -> u64 {
-            self.0
-        }
-
-        fn fill_bytes(&mut self, dest: &mut [u8]) {
-            for chunk in dest.chunks_mut(8) {
-                chunk.copy_from_slice(&self.0.to_le_bytes()[..chunk.len()]);
-            }
-        }
-    }
-
-    #[test]
-    fn integer_threshold_decides_exactly_as_gen_bool() {
-        const TOP: u64 = 1 << 53;
-        let mut probabilities = vec![0.0, 1.0 / TOP as f64, 0.5, 1.0 - 1.0 / TOP as f64, 1.0];
-        for kind in OracleKind::ALL {
-            for k in EXACTNESS_CATEGORIES {
-                for step in 1..=300 {
-                    let oracle = CategoricalOracle::new(kind, k, step as f64 * 0.1).unwrap();
-                    probabilities.extend([oracle.p(), oracle.q()]);
-                }
-            }
-        }
-        for p in probabilities {
-            let threshold = bernoulli_threshold(p);
-            assert!(threshold <= TOP, "p={p}");
-            // The 53-bit draws around the threshold (and both ends of the
-            // range), each with its 11 discarded low bits clear and set.
-            let around = threshold.saturating_sub(2)..=(threshold + 1).min(TOP - 1);
-            for a in around.chain([0, TOP - 1]) {
-                for draw in [a << 11, (a << 11) | 0x7FF] {
-                    assert_eq!(
-                        draw_below(&mut FixedDraw(draw), threshold),
-                        FixedDraw(draw).gen_bool(p),
-                        "p={p} a={a}"
-                    );
                 }
             }
         }
