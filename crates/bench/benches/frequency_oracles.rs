@@ -1,9 +1,10 @@
 //! Criterion micro-benchmarks for the categorical frequency oracles: per-user
 //! perturbation and count-based estimation for GRR vs OUE at small and large
-//! category counts.
+//! category counts, and one whole collection through the ingest engine.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdldp_workloads::{CategoricalOracle, OracleKind};
+use hdldp_protocol::IngestConfig;
+use hdldp_workloads::{CategoricalOracle, OracleKind, OraclePipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -59,5 +60,25 @@ fn bench_estimate(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_perturb, bench_estimate);
+/// `OraclePipeline::run` over 2,000 users at k = 256, ε = 4, the
+/// `heavy_hitters` shape: every report is written into a shard batch,
+/// checked and accumulated. One shard keeps the row on one thread.
+fn bench_collect(c: &mut Criterion) {
+    const USERS: usize = 2_000;
+    const K: usize = 256;
+    let mut group = c.benchmark_group("oracle_collect");
+    let values: Vec<usize> = (0..USERS).map(|user| user % K).collect();
+    let config = IngestConfig::new(1, 256).expect("valid ingest config");
+    for kind in OracleKind::ALL {
+        let pipeline = OraclePipeline::new(kind, K, 4.0, 17)
+            .expect("valid oracle")
+            .with_ingest_config(config);
+        group.bench_with_input(BenchmarkId::new(kind.name(), K), &K, |b, _| {
+            b.iter(|| black_box(pipeline.run(black_box(&values)).expect("values in domain")))
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_perturb, bench_estimate, bench_collect);
 criterion_main!(benches);

@@ -19,6 +19,12 @@ pub enum ProtocolError {
         /// The configured dimensionality.
         dims: usize,
     },
+    /// A report carries a NaN or infinite value, which would turn its
+    /// dimension's sum into NaN or ±∞.
+    NonFiniteValue {
+        /// The dimension the value was reported for.
+        dimension: usize,
+    },
     /// A dimension received no reports, so its mean cannot be estimated.
     EmptyDimension {
         /// The dimension with zero reports.
@@ -48,6 +54,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::DimensionOutOfRange { dimension, dims } => {
                 write!(f, "report dimension {dimension} out of range (d = {dims})")
+            }
+            ProtocolError::NonFiniteValue { dimension } => {
+                write!(f, "report value for dimension {dimension} is not finite")
             }
             ProtocolError::EmptyDimension { dimension } => {
                 write!(f, "dimension {dimension} received no reports")
@@ -103,6 +112,8 @@ mod tests {
             dims: 5,
         };
         assert!(e.to_string().contains("10"));
+        let e = ProtocolError::NonFiniteValue { dimension: 3 };
+        assert!(e.to_string().contains("dimension 3"));
         let e = ProtocolError::MetricComputation {
             metric: "mse",
             input: "truth",

@@ -14,6 +14,14 @@
 //! * [`crate::ShardAccumulator`] — per-shard partial sums/counts per
 //!   dimension, merged **on read**.
 //!
+//! The collector treats every report as untrusted: one branch-free scan
+//! per report rejects it, atomically, when an entry names a dimension
+//! `>= d` or carries a NaN or infinite value. Every push and accumulate
+//! path shares that check. The bulk path,
+//! [`IngestEngine::ingest_partitioned`], has each user's report written in
+//! place at the end of its shard batch's entry buffer and scans only that
+//! tail, so a report is written once and never copied.
+//!
 //! The resulting [`IngestEngine`] produces exactly the same estimated means
 //! as the single loop — per-dimension sums and counts are order-insensitive
 //! up to floating-point rounding, and the integration tests assert
@@ -31,6 +39,7 @@
 //! assert_eq!(merged.counts(), &[1, 1, 1, 1]);
 //! ```
 
+use crate::report::check_entries;
 use crate::shard::{ShardAccumulator, ShardRouter};
 use crate::telemetry::IngestMetrics;
 use crate::{ProtocolError, Report};
@@ -44,10 +53,13 @@ use std::ops::Range;
 /// value)` pairs plus report-boundary offsets, so pushing a report never
 /// allocates and the accumulate loop scans contiguous memory. Entries are
 /// `(usize, f64)`, the type [`crate::Client`], [`Report`] and
-/// `Mechanism::perturb_entries` already use, so a push is one validated
-/// copy. Capacity is bounded in *reports*; a full batch must be drained (ingested
-/// into a [`ShardAccumulator`] and [`cleared`](ReportBatch::clear)) before
-/// more reports are pushed.
+/// `Mechanism::perturb_entries` already use, so
+/// [`push_entries`](ReportBatch::push_entries) is one checked copy, and
+/// [`IngestEngine::ingest_partitioned`] has each report written in place at
+/// the end of the buffer and checks only that tail. Capacity is bounded in
+/// *reports*; a full batch must be drained (ingested into a
+/// [`ShardAccumulator`] and [`cleared`](ReportBatch::clear)) before more
+/// reports are pushed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReportBatch {
     dims: usize,
@@ -117,27 +129,70 @@ impl ReportBatch {
     /// Append one report given as `(dimension, value)` entries.
     ///
     /// # Errors
-    /// Returns [`ProtocolError::InvalidConfig`] when the batch is full and
+    /// Returns [`ProtocolError::InvalidConfig`] when the batch is full,
     /// [`ProtocolError::DimensionOutOfRange`] when an entry mentions a
-    /// dimension `>= dims`; the batch is untouched in both cases.
+    /// dimension `>= dims` and [`ProtocolError::NonFiniteValue`] when a value
+    /// is NaN or infinite; the batch is untouched in every case.
     pub fn push_entries(&mut self, entries: &[(usize, f64)]) -> crate::Result<()> {
         if self.is_full() {
-            return Err(ProtocolError::InvalidConfig {
-                name: "batch",
-                reason: format!("batch is full ({} reports)", self.capacity),
-            });
+            return Err(self.full());
         }
         // Validate the whole report before appending any of it, so a bad
         // report leaves the batch untouched.
-        if let Some(&(dimension, _)) = entries.iter().find(|&&(dim, _)| dim >= self.dims) {
-            return Err(ProtocolError::DimensionOutOfRange {
-                dimension,
-                dims: self.dims,
-            });
-        }
+        check_entries(entries, self.dims)?;
         self.entries.extend_from_slice(entries);
         self.offsets.push(self.entries.len());
         Ok(())
+    }
+
+    /// Append one report that `fill` writes in place: `fill` appends the
+    /// report's entries to the batch's own entry buffer, whose entries
+    /// belong to earlier reports and must be left alone.
+    ///
+    /// Only the appended tail is checked. When `fill` fails or the tail is
+    /// rejected, the tail is truncated and the batch holds what it held
+    /// before. When `fill` shrank the buffer, entries of earlier reports are
+    /// gone, so the batch is [cleared](ReportBatch::clear) and the push
+    /// fails.
+    ///
+    /// # Errors
+    /// Returns `fill`'s error, the errors of
+    /// [`push_entries`](ReportBatch::push_entries), and
+    /// [`ProtocolError::InvalidConfig`] when `fill` shrank the buffer.
+    // hot-path: the bulk-ingest push; its errors are built out of line
+    pub(crate) fn push_with<F>(&mut self, fill: F) -> crate::Result<()>
+    where
+        F: FnOnce(&mut Vec<(usize, f64)>) -> crate::Result<()>,
+    {
+        if self.is_full() {
+            return Err(self.full());
+        }
+        let start = self.entries.len();
+        let filled = fill(&mut self.entries);
+        let Some(report) = self.entries.get(start..) else {
+            self.clear();
+            return Err(fill_shrank_the_batch());
+        };
+        match filled.and_then(|()| check_entries(report, self.dims)) {
+            Ok(()) => {
+                // lint:allow(no-alloc-hot-path) clear() keeps this capacity; only the first batch grows it
+                self.offsets.push(self.entries.len());
+                Ok(())
+            }
+            Err(e) => {
+                self.entries.truncate(start);
+                Err(e)
+            }
+        }
+    }
+
+    /// The error for a push into a full batch.
+    #[cold]
+    fn full(&self) -> ProtocolError {
+        ProtocolError::InvalidConfig {
+            name: "batch",
+            reason: format!("batch is full ({} reports)", self.capacity),
+        }
     }
 
     /// Append one wire-format [`Report`].
@@ -170,6 +225,17 @@ impl ReportBatch {
     pub fn clear(&mut self) {
         self.entries.clear();
         self.offsets.truncate(1);
+    }
+}
+
+/// The error for a `fill` that shrank the batch buffer it was handed.
+#[cold]
+fn fill_shrank_the_batch() -> ProtocolError {
+    ProtocolError::InvalidConfig {
+        name: "fill",
+        reason: "fill removed entries of earlier reports from the batch buffer; \
+                 it may only append"
+            .into(),
     }
 }
 
@@ -397,18 +463,28 @@ impl IngestEngine {
 
     /// Bulk-ingest the user range `users` in parallel, one worker per shard.
     ///
-    /// `fill` produces user `u`'s report by appending `(dimension, value)`
-    /// entries to the scratch vector it is handed (cleared between users).
+    /// `fill` produces user `u`'s report by appending its `(dimension,
+    /// value)` entries to the buffer it is handed, which is the shard
+    /// batch's own entry buffer: the report is written in place, with no
+    /// copy. The entries already in the buffer belong to earlier reports of
+    /// the batch and must be left alone, and the buffer is not cleared
+    /// between users, so `fill` may only append. A `fill` that shrinks the
+    /// buffer fails the call. Each appended report is checked as
+    /// [`ReportBatch::push_entries`] checks one.
+    ///
     /// Each shard's worker walks the whole range but generates reports only
     /// for the users that hash to it, so reports flow shard-locally through
-    /// a bounded batch: no locks, no cross-thread report traffic, and the
-    /// result is bit-for-bit identical to calling
-    /// [`submit_entries`](IngestEngine::submit_entries) for every user in
-    /// increasing id order on a freshly flushed engine.
+    /// a bounded batch: no locks, no cross-thread report traffic. The
+    /// engine's state ends bit-for-bit, and its `ingest_*` counts equal, as
+    /// if [`submit_entries`](IngestEngine::submit_entries) had been called
+    /// for every user in increasing id order on a freshly flushed engine,
+    /// followed by [`flush`](IngestEngine::flush).
     ///
     /// # Errors
-    /// Propagates the first `fill` error; the engine is untouched when any
-    /// shard fails.
+    /// Propagates the first error of `fill` or of the report check, and
+    /// returns [`ProtocolError::InvalidConfig`] when `fill` shrank the
+    /// buffer; the engine's reports and sums are untouched when any shard
+    /// fails.
     pub fn ingest_partitioned<F>(&mut self, users: Range<u64>, fill: F) -> crate::Result<()>
     where
         F: Fn(u64, &mut Vec<(usize, f64)>) -> crate::Result<()> + Sync,
@@ -427,14 +503,11 @@ impl IngestEngine {
             .map(move |shard| {
                 let mut acc = ShardAccumulator::new(dims)?;
                 let mut batch = ReportBatch::new(dims, capacity)?;
-                let mut scratch: Vec<(usize, f64)> = Vec::new();
                 for user_id in users.clone() {
                     if router.route(user_id) != shard {
                         continue;
                     }
-                    scratch.clear();
-                    fill(user_id, &mut scratch)?;
-                    batch.push_entries(&scratch)?;
+                    batch.push_with(|entries| fill(user_id, entries))?;
                     if batch.is_full() {
                         let timer = metrics.flush_timer();
                         acc.ingest_batch(&batch)?;
@@ -561,6 +634,83 @@ mod tests {
         assert!(batch.is_empty());
         batch.push_entries(&[(1, 2.0)]).unwrap();
         assert_eq!(batch.entries(), 1);
+    }
+
+    #[test]
+    fn batch_rejects_non_finite_values_atomically() {
+        let mut batch = ReportBatch::new(2, 2).unwrap();
+        batch.push_entries(&[(1, 0.5)]).unwrap();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                batch.push_entries(&[(0, 1.0), (1, bad)]),
+                Err(ProtocolError::NonFiniteValue { dimension: 1 })
+            );
+            assert_eq!(batch.flat_entries(), &[(1, 0.5)]);
+        }
+    }
+
+    #[test]
+    fn push_with_checks_only_the_appended_tail() {
+        let mut batch = ReportBatch::new(2, 4).unwrap();
+        batch.push_entries(&[(0, 1.0)]).unwrap();
+        batch
+            .push_with(|out| {
+                out.extend_from_slice(&[(1, 2.0), (0, 3.0)]);
+                Ok(())
+            })
+            .unwrap();
+        batch.push_with(|_| Ok(())).unwrap();
+        assert_eq!(batch.reports(), 3);
+        assert_eq!(batch.report(1), Some(&[(1usize, 2.0), (0, 3.0)][..]));
+        assert_eq!(batch.report(2), Some(&[][..]));
+        let filled = batch.clone();
+        // A rejected tail or a failing fill is truncated away.
+        let bad_tail = batch.push_with(|out| {
+            out.extend_from_slice(&[(1, 1.0), (0, f64::NAN)]);
+            Ok(())
+        });
+        assert_eq!(
+            bad_tail,
+            Err(ProtocolError::NonFiniteValue { dimension: 0 })
+        );
+        let out_of_range = batch.push_with(|out| {
+            out.push((2, 1.0));
+            Ok(())
+        });
+        assert!(matches!(
+            out_of_range,
+            Err(ProtocolError::DimensionOutOfRange { dimension: 2, .. })
+        ));
+        let failed = batch.push_with(|out| {
+            out.push((0, 1.0));
+            Err(ProtocolError::EmptyDimension { dimension: 1 })
+        });
+        assert_eq!(failed, Err(ProtocolError::EmptyDimension { dimension: 1 }));
+        assert_eq!(batch, filled);
+        batch
+            .push_with(|out| {
+                out.push((1, 4.0));
+                Ok(())
+            })
+            .unwrap();
+        assert!(batch.is_full());
+        assert!(batch.push_with(|_| Ok(())).is_err(), "batch is full");
+    }
+
+    #[test]
+    fn push_with_clears_the_batch_when_fill_shrinks_it() {
+        let mut batch = ReportBatch::new(2, 4).unwrap();
+        batch.push_entries(&[(0, 1.0), (1, 1.0)]).unwrap();
+        let shrunk = batch.push_with(|out| {
+            out.truncate(1);
+            Ok(())
+        });
+        assert!(matches!(
+            shrunk,
+            Err(ProtocolError::InvalidConfig { name: "fill", .. })
+        ));
+        assert!(batch.is_empty());
+        assert_eq!(batch.entries(), 0);
     }
 
     #[test]

@@ -14,6 +14,7 @@
 //! into the full ingest path; this module holds the two building blocks.
 
 use crate::ingest::ReportBatch;
+use crate::report::check_entries;
 use crate::ProtocolError;
 
 /// Routes reports to shards by hashing user ids.
@@ -147,24 +148,13 @@ impl ShardAccumulator {
     ///
     /// # Errors
     /// Returns [`ProtocolError::DimensionOutOfRange`] when an entry mentions a
-    /// dimension `>= dims`; the accumulator is untouched in that case.
+    /// dimension `>= dims` and [`ProtocolError::NonFiniteValue`] when a value
+    /// is NaN or infinite; the accumulator is untouched in both cases.
     // hot-path: validate then add in place; error construction stays alloc-free
     pub fn accumulate(&mut self, entries: &[(usize, f64)]) -> crate::Result<()> {
-        let dims = self.dims();
         // Validate before mutating so a bad report is rejected atomically.
-        for &(dim, _) in entries {
-            if dim >= dims {
-                return Err(ProtocolError::DimensionOutOfRange {
-                    dimension: dim,
-                    dims,
-                });
-            }
-        }
-        for &(dim, value) in entries {
-            let partial = &mut self.partials[dim];
-            partial.sum += value;
-            partial.count += 1;
-        }
+        check_entries(entries, self.dims())?;
+        self.add(entries);
         self.reports += 1;
         Ok(())
     }
@@ -181,13 +171,22 @@ impl ShardAccumulator {
         if batch.dims() != self.dims() {
             return Err(batch_dims_mismatch(batch.dims(), self.dims()));
         }
-        for &(dim, value) in batch.flat_entries() {
-            let partial = &mut self.partials[dim];
-            partial.sum += value;
-            partial.count += 1;
-        }
+        self.add(batch.flat_entries());
         self.reports += batch.reports();
         Ok(())
+    }
+
+    /// Add checked entries to their dimensions' partials, in entry order.
+    /// Every dimension is below `dims`, so `get_mut` never misses; it keeps
+    /// the loop free of a panic path.
+    #[inline]
+    fn add(&mut self, entries: &[(usize, f64)]) {
+        for &(dim, value) in entries {
+            if let Some(partial) = self.partials.get_mut(dim) {
+                partial.sum += value;
+                partial.count += 1;
+            }
+        }
     }
 
     /// Merge another shard's partials into this one (exact: sums and counts
@@ -319,6 +318,20 @@ mod tests {
         assert!(acc.is_empty());
         assert_eq!(acc.sums(), &[0.0, 0.0]);
         assert_eq!(acc.counts(), &[0, 0]);
+    }
+
+    #[test]
+    fn non_finite_value_is_rejected_atomically() {
+        let mut acc = ShardAccumulator::new(2).unwrap();
+        acc.accumulate(&[(0, 1.0)]).unwrap();
+        let before = acc.clone();
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(
+                acc.accumulate(&[(1, 2.0), (0, bad)]),
+                Err(ProtocolError::NonFiniteValue { dimension: 0 })
+            );
+            assert_eq!(acc, before);
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! |------|------|---------|
 //! | `ingest_reports_total` | counter | reports flushed into shard accumulators |
 //! | `ingest_entries_total` | counter | `(dimension, value)` entries flushed |
-//! | `ingest_rejects_total` | counter | reports rejected by validation |
+//! | `ingest_rejects_total` | counter | reports `submit` rejected (bad dimension or non-finite value) |
 //! | `ingest_batch_flushes_total` | counter | batch drains into an accumulator |
 //! | `ingest_batch_flush_ns` | histogram | latency of one batch drain (sampled) |
 //! | `ingest_merges_total` | counter | merge-on-read operations |

@@ -124,7 +124,7 @@ impl OraclePipeline {
         {
             let _timer = self.metrics.collect_ns.start();
             engine
-                .ingest_partitioned(0..values.len() as u64, |user_id, scratch| {
+                .ingest_partitioned(0..values.len() as u64, |user_id, out| {
                     let mut rng = StdRng::seed_from_u64(user_seed(seed, user_id));
                     // The engine hands back ids from the 0..values.len()
                     // range it was given, and values were domain-checked
@@ -136,7 +136,7 @@ impl OraclePipeline {
                             reason: format!("user {user_id} outside 0..{}", values.len()),
                         }
                     })?;
-                    oracle.perturb_into(value, &mut rng, scratch).map_err(|e| {
+                    oracle.perturb_into(value, &mut rng, out).map_err(|e| {
                         hdldp_protocol::ProtocolError::InvalidConfig {
                             name: "oracle",
                             reason: e.to_string(),

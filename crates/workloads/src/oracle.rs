@@ -168,7 +168,9 @@ impl CategoricalOracle {
 
     /// Perturb one categorical value into calibrated one-hot entries,
     /// appending `(category, calibrated_bit)` for **all** `k` categories to
-    /// `out` (the dense layout the sharded ingest engine expects).
+    /// `out` (the dense layout the sharded ingest engine expects). Entries
+    /// already in `out` are left untouched, so `out` may be a shard batch's
+    /// buffer.
     ///
     /// # Errors
     /// Returns [`WorkloadError::ValueOutOfDomain`] when `value >= k`.
@@ -187,17 +189,28 @@ impl CategoricalOracle {
         match self.kind {
             OracleKind::Grr => {
                 let reported = self.grr_report(value, rng);
-                out.extend(
-                    (0..self.categories)
-                        .map(|j| (j, if j == reported { self.high } else { self.low })),
-                );
+                // Write every category inactive, then activate the reported
+                // one: the fill loop has no per-category select.
+                let start = out.len();
+                out.extend((0..self.categories).map(|j| (j, self.low)));
+                if let Some(entry) = out.get_mut(start + reported) {
+                    entry.1 = self.high;
+                }
             }
             OracleKind::Oue => {
                 let (on, off) = (bernoulli_threshold(self.p), bernoulli_threshold(self.q));
-                out.extend((0..self.categories).map(|j| {
-                    let bit = below_threshold(rng.next_u64(), if j == value { on } else { off });
+                let mut flip = |j: usize, threshold: u64| {
+                    let bit = below_threshold(rng.next_u64(), threshold);
                     (j, if bit { self.high } else { self.low })
-                }));
+                };
+                // One draw per category in category order; only the true
+                // category uses `on`, so the loops around it need no select.
+                // Reserving the whole report first grows `out` as one
+                // `extend` of `k` entries would.
+                out.reserve(self.categories);
+                out.extend((0..value).map(|j| flip(j, off)));
+                out.push(flip(value, on));
+                out.extend((value + 1..self.categories).map(|j| flip(j, off)));
             }
         }
         Ok(())

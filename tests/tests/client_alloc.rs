@@ -1,9 +1,9 @@
 //! Heap allocations per user on the client path of
 //! `IngestEngine::ingest_partitioned`: once a call is warmed up, every
-//! further user sampled and perturbed by `Client::perturb_lazy_into` and
-//! pushed into a shard batch makes zero heap allocations, at the shapes the
-//! sampler keeps allocation-free (see `sample_dims_into` in
-//! `crates/protocol/src/client.rs`).
+//! further user sampled and perturbed by `Client::perturb_lazy_into`
+//! straight into its shard batch's entry buffer, and checked there, makes
+//! zero heap allocations, at the shapes the sampler keeps allocation-free
+//! (see `sample_dims_into` in `crates/protocol/src/client.rs`).
 //!
 //! The counter is process-wide, not thread-local: the vendored rayon runs
 //! each shard on a scoped thread, and a thread-local count would miss the
@@ -54,8 +54,8 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static ALLOC: CountingAllocator = CountingAllocator;
 
 /// Users every call ingests before the counted ones. Enough that each
-/// shard's scratch report and batch reach their steady size: the scratch
-/// grows on a shard's first user, and a batch grows until its first flush.
+/// shard's batch reaches its steady size: reports are written in place in
+/// the batch, which grows until its first flush and keeps its buffers after.
 const WARM_UP_USERS: u64 = 2_000;
 /// Users whose allocations are counted on top of the warm-up.
 const COUNTED_USERS: u64 = 2_000;

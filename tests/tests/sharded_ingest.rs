@@ -7,8 +7,14 @@
 //! reproduce the single-loop result down to the last bit. Arbitrary-float
 //! agreement (where only the summation order differs) is covered by the
 //! tolerance-based test against the legacy `Aggregator`.
+//!
+//! The last tests treat reports as untrusted: a report carrying NaN or ±∞
+//! is rejected on both ingest paths without touching the engine, as is a
+//! bulk `fill` that clears the batch buffer it is handed, and the bulk
+//! path's telemetry counts match the serial path's.
 
 use hdldp_protocol::{Aggregator, IngestConfig, IngestEngine, ProtocolError, Report};
+use hdldp_telemetry::Registry;
 use proptest::prelude::*;
 
 /// Plain single-loop reference: per-dimension sums and counts over `reports`.
@@ -169,4 +175,159 @@ fn reports_without_entries_count_as_reports_but_not_samples() {
     let merged = engine.merged().unwrap();
     assert_eq!(merged.reports(), 2);
     assert_eq!(merged.counts(), &[0, 1]);
+}
+
+/// 1,000 honest users' reports over 3 dimensions, of 0 to 3 entries each,
+/// with full-mantissa values.
+fn honest_reports() -> Vec<Vec<(usize, f64)>> {
+    (0..1000usize)
+        .map(|user| {
+            (0..user % 4)
+                .map(|j| ((user + j) % 3, (0.37 * (user * 4 + j) as f64).sin()))
+                .collect()
+        })
+        .collect()
+}
+
+/// An engine over 3 dimensions holding the first 40 honest reports, all
+/// flushed, so a bulk call that flushes first leaves its state as it is.
+fn engine_with_flushed_reports(honest: &[Vec<(usize, f64)>]) -> IngestEngine {
+    let mut engine = IngestEngine::new(3, IngestConfig::new(3, 16).unwrap()).unwrap();
+    for (user, entries) in honest.iter().enumerate().take(40) {
+        engine.submit_entries(user as u64, entries).unwrap();
+    }
+    engine.flush().unwrap();
+    engine
+}
+
+const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+
+#[test]
+fn submit_rejects_a_non_finite_report_and_the_estimate_keeps_its_bits() {
+    let honest = honest_reports();
+    let config = IngestConfig::new(3, 16).unwrap();
+    let mut reference = IngestEngine::new(3, config).unwrap();
+    for (user, entries) in honest.iter().enumerate() {
+        reference.submit_entries(user as u64, entries).unwrap();
+    }
+    let bits = |engine: &IngestEngine| -> Vec<u64> {
+        let means = engine.estimated_means().unwrap();
+        means.iter().map(|mean| mean.to_bits()).collect()
+    };
+    for bad in NON_FINITE {
+        let registry = Registry::new();
+        let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
+        for (user, entries) in honest.iter().enumerate() {
+            if user == 500 {
+                // One extra user, whose report is honest but for one entry.
+                let rejected = engine.submit_entries(honest.len() as u64, &[(1, 0.5), (0, bad)]);
+                assert_eq!(
+                    rejected,
+                    Err(ProtocolError::NonFiniteValue { dimension: 0 }),
+                    "{bad}"
+                );
+            }
+            engine.submit_entries(user as u64, entries).unwrap();
+        }
+        let snapshot = registry.snapshot();
+        assert_eq!(snapshot.counter("ingest_rejects_total"), Some(1), "{bad}");
+        assert_eq!(
+            engine.merged().unwrap(),
+            reference.merged().unwrap(),
+            "{bad}"
+        );
+        assert_eq!(bits(&engine), bits(&reference), "{bad}");
+    }
+}
+
+#[test]
+fn ingest_partitioned_rejects_a_non_finite_report_and_leaves_the_engine_untouched() {
+    let honest = honest_reports();
+    let mut engine = engine_with_flushed_reports(&honest);
+    let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
+    for bad in NON_FINITE {
+        let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
+            out.extend_from_slice(&honest[user as usize]);
+            if user == 500 {
+                out.push((2, bad));
+            }
+            Ok(())
+        });
+        assert_eq!(
+            result,
+            Err(ProtocolError::NonFiniteValue { dimension: 2 }),
+            "{bad}"
+        );
+        assert_eq!(engine.merged().unwrap(), before, "{bad}");
+        assert_eq!(engine.shard_loads(), loads, "{bad}");
+    }
+}
+
+#[test]
+fn a_fill_that_clears_its_buffer_fails_the_call_and_leaves_the_engine_untouched() {
+    let honest = honest_reports();
+    let mut engine = engine_with_flushed_reports(&honest);
+    let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
+    // Earlier reports of user 500's batch are in the buffer it is handed.
+    let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
+        if user == 500 {
+            out.clear();
+        }
+        out.extend_from_slice(&honest[user as usize]);
+        Ok(())
+    });
+    assert!(
+        matches!(
+            result,
+            Err(ProtocolError::InvalidConfig { name: "fill", .. })
+        ),
+        "{result:?}"
+    );
+    assert_eq!(engine.merged().unwrap(), before);
+    assert_eq!(engine.shard_loads(), loads);
+}
+
+#[test]
+fn ingest_partitioned_counts_what_serial_submit_and_flush_count() {
+    let honest = honest_reports();
+    for shards in [1, 2, 3] {
+        for capacity in [1, 7, 256] {
+            let config = IngestConfig::new(shards, capacity).unwrap();
+            let serial_registry = Registry::new();
+            let mut serial = IngestEngine::with_telemetry(3, config, &serial_registry).unwrap();
+            for (user, entries) in honest.iter().enumerate() {
+                serial.submit_entries(user as u64, entries).unwrap();
+            }
+            serial.flush().unwrap();
+            let bulk_registry = Registry::new();
+            let mut bulk = IngestEngine::with_telemetry(3, config, &bulk_registry).unwrap();
+            bulk.ingest_partitioned(0..honest.len() as u64, |user, out| {
+                out.extend_from_slice(&honest[user as usize]);
+                Ok(())
+            })
+            .unwrap();
+
+            let at = format!("{shards} shards, capacity {capacity}");
+            let (serial_counts, bulk_counts) =
+                (serial_registry.snapshot(), bulk_registry.snapshot());
+            let mut names = [
+                "ingest_reports_total",
+                "ingest_entries_total",
+                "ingest_batch_flushes_total",
+            ]
+            .map(String::from)
+            .to_vec();
+            names.extend((0..shards).map(|shard| format!("ingest_shard{shard:03}_reports_total")));
+            for name in &names {
+                let count = bulk_counts.counter(name);
+                assert_eq!(count, serial_counts.counter(name), "{name}, {at}");
+                assert!(count.is_some_and(|count| count > 0), "{name}, {at}");
+            }
+            let timed = bulk_counts
+                .histogram("ingest_batch_flush_ns")
+                .map_or(0, |h| h.count);
+            assert!(timed >= 1, "no flush was timed, {at}");
+            assert_eq!(bulk.merged().unwrap(), serial.merged().unwrap(), "{at}");
+        }
+    }
 }
