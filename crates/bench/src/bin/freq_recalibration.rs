@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
             for dim in 0..dims {
                 let truth = &estimate.true_frequencies[dim];
                 raw += stats::mse(&estimate.estimated[dim], truth)?;
-                norm += stats::mse(&estimate.normalized(dim), truth)?;
+                norm += stats::mse(&estimate.normalized(dim)?, truth)?;
                 let r1 =
                     Hdr4me::l1().recalibrate_frequencies(&estimate, dim, pipeline.mechanism())?;
                 let r2 =

@@ -49,7 +49,15 @@ impl Hdr4me {
                 expected: estimate.estimated.len(),
                 actual: dim,
             })?;
-        let reports = estimate.report_counts[dim].max(1) as f64;
+        let reports = estimate
+            .report_counts
+            .get(dim)
+            .copied()
+            .ok_or(crate::CoreError::LengthMismatch {
+                expected: estimate.report_counts.len(),
+                actual: dim,
+            })?
+            .max(1) as f64;
 
         // Deviation model: each one-hot entry takes value 1 with (estimated)
         // probability f and 0 otherwise. Use the clipped estimate as the best
@@ -123,6 +131,16 @@ mod tests {
         assert!(Hdr4me::l1()
             .recalibrate_frequencies(&estimate, 7, pipeline.mechanism())
             .is_err());
+    }
+
+    #[test]
+    fn short_report_counts_are_rejected() {
+        let (mut estimate, pipeline) = run_pipeline(0.4, 500);
+        estimate.report_counts.truncate(1);
+        assert!(matches!(
+            Hdr4me::l1().recalibrate_frequencies(&estimate, 1, pipeline.mechanism()),
+            Err(crate::CoreError::LengthMismatch { .. })
+        ));
     }
 
     #[test]

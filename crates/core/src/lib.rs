@@ -34,10 +34,6 @@
 //! * [`telemetry`] — the pre-registered runtime-metric bundle recalibrators
 //!   record into when built with [`Hdr4me::with_telemetry`].
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod error;
 pub mod frequency;
 pub mod guarantees;

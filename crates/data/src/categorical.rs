@@ -55,9 +55,8 @@ impl CategoricalDataset {
                 actual: values.len(),
             });
         }
-        for i in 0..users {
-            for (j, &cats) in categories.iter().enumerate() {
-                let v = values[i * dims + j];
+        for row in values.chunks(dims) {
+            for ((j, &cats), &v) in categories.iter().enumerate().zip(row) {
                 if v >= cats {
                     return Err(DataError::InvalidParameter {
                         name: "values",
@@ -139,6 +138,10 @@ impl CategoricalDataset {
     ///
     /// # Errors
     /// Returns [`DataError::IndexOutOfBounds`] for invalid indices.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < users and j < dims are checked first, so the flat index is < values.len()"
+    )]
     pub fn value(&self, i: usize, j: usize) -> crate::Result<usize> {
         if i >= self.users {
             return Err(DataError::IndexOutOfBounds {
@@ -154,7 +157,6 @@ impl CategoricalDataset {
                 len: self.dims(),
             });
         }
-        // lint:allow(no-panic-in-lib) i and j are bounds-checked above, so the flat index is < users * dims == values.len()
         Ok(self.values[i * self.dims() + j])
     }
 
@@ -163,15 +165,14 @@ impl CategoricalDataset {
     /// # Errors
     /// Returns [`DataError::IndexOutOfBounds`] when `j` is invalid.
     pub fn true_frequencies(&self, j: usize) -> crate::Result<Vec<f64>> {
-        if j >= self.dims() {
+        let Some(&cats) = self.categories.get(j) else {
             return Err(DataError::IndexOutOfBounds {
                 what: "column",
                 index: j,
                 len: self.dims(),
             });
-        }
-        // lint:allow(no-panic-in-lib) j was bounds-checked against dims() == categories.len() above
-        let mut counts = vec![0usize; self.categories[j]];
+        };
+        let mut counts = vec![0usize; cats];
         for row in self.values.chunks(self.dims()) {
             // Stored values are < categories[j] by construction, so the
             // tally slot always exists; get_mut keeps that an invariant
@@ -198,15 +199,13 @@ impl CategoricalDataset {
     /// # Errors
     /// Returns [`DataError::IndexOutOfBounds`] when `j` is invalid.
     pub fn encode_dimension(&self, j: usize) -> crate::Result<Dataset> {
-        if j >= self.dims() {
+        let Some(&cats) = self.categories.get(j) else {
             return Err(DataError::IndexOutOfBounds {
                 what: "column",
                 index: j,
                 len: self.dims(),
             });
-        }
-        // lint:allow(no-panic-in-lib) j was bounds-checked against dims() == categories.len() above
-        let cats = self.categories[j];
+        };
         let mut values = vec![0.0; self.users * cats];
         for (row, src) in values.chunks_mut(cats).zip(self.values.chunks(self.dims())) {
             if let Some(&c) = src.get(j) {
@@ -220,6 +219,10 @@ impl CategoricalDataset {
 
     /// Histogram-encode *all* dimensions into one wide numeric dataset with
     /// `Σ_j categories[j]` columns, along with the per-dimension column offsets.
+    #[expect(
+        clippy::expect_used,
+        reason = "values holds users * total entries, exactly the shape from_rows validates"
+    )]
     pub fn encode_all(&self) -> (Dataset, Vec<usize>) {
         let total: usize = self.categories.iter().sum();
         let mut offsets = Vec::with_capacity(self.dims());
@@ -242,7 +245,6 @@ impl CategoricalDataset {
             }
         }
         (
-            // lint:allow(no-panic-in-lib) users * total == values.len() by the allocation one loop up, which is exactly the shape from_rows validates
             Dataset::from_rows(self.users, total, values).expect("shape is valid"),
             offsets,
         )

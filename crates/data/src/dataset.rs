@@ -105,6 +105,10 @@ impl Dataset {
     ///
     /// # Errors
     /// Returns [`DataError::IndexOutOfBounds`] when `i >= users`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i < users is checked first, and values holds users * dims entries"
+    )]
     pub fn row(&self, i: usize) -> crate::Result<&[f64]> {
         if i >= self.users {
             return Err(DataError::IndexOutOfBounds {
@@ -120,6 +124,10 @@ impl Dataset {
     ///
     /// # Errors
     /// Returns [`DataError::IndexOutOfBounds`] when either index is invalid.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "j < dims is checked first, and row(i) returns dims values"
+    )]
     pub fn value(&self, i: usize, j: usize) -> crate::Result<f64> {
         if j >= self.dims {
             return Err(DataError::IndexOutOfBounds {
@@ -143,9 +151,8 @@ impl Dataset {
                 len: self.dims,
             });
         }
-        Ok((0..self.users)
-            .map(|i| self.values[i * self.dims + j])
-            .collect())
+        let column = self.values.iter().skip(j).step_by(self.dims);
+        Ok(column.copied().collect())
     }
 
     /// The raw row-major buffer.
@@ -158,11 +165,14 @@ impl Dataset {
     /// Memoised: the first call sweeps the dataset once and later calls copy
     /// the `d` cached means, so a sweep that runs many pipelines over one
     /// dataset reads it once.
+    #[expect(
+        clippy::expect_used,
+        reason = "from_rows enforces values.len() == users * dims, which is all column_means checks"
+    )]
     pub fn true_means(&self) -> Vec<f64> {
         self.means_memo
             .get_or_init(|| {
                 stats::column_means(&self.values, self.users, self.dims)
-                    // lint:allow(no-panic-in-lib) values.len() == users * dims is enforced by from_rows, which is exactly what column_means validates
                     .expect("shape validated at construction")
             })
             .clone()
@@ -171,8 +181,7 @@ impl Dataset {
     /// Smallest and largest value in each column.
     pub fn column_ranges(&self) -> Vec<(f64, f64)> {
         let mut ranges = vec![(f64::INFINITY, f64::NEG_INFINITY); self.dims];
-        for i in 0..self.users {
-            let row = &self.values[i * self.dims..(i + 1) * self.dims];
+        for row in self.values.chunks(self.dims) {
             for (r, &x) in ranges.iter_mut().zip(row) {
                 r.0 = r.0.min(x);
                 r.1 = r.1.max(x);
@@ -307,6 +316,10 @@ impl Dataset {
     }
 
     /// Profile one block of up to `PROFILE_BLOCK` columns starting at `base`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "base + w <= dims, k < w <= PROFILE_BLOCK and idx < buckets, so every row slice, lane and k * buckets + idx is in range"
+    )]
     fn profile_block(&self, base: usize, buckets: usize) -> ProfileBlock {
         let dims = self.dims;
         debug_assert!(base < dims, "block base {base} out of {dims} columns");
@@ -342,7 +355,6 @@ impl Dataset {
             for (k, &x) in r.iter().enumerate() {
                 let idx = (((x - lmin[k]) * inv[k]) as usize).min(buckets - 1);
                 debug_assert!(idx < buckets);
-                // lint:allow(no-panic-in-lib) k < w and idx < buckets (clamped by the min above), so k * buckets + idx < w * buckets == counts.len(); the hot kernel keeps direct indexing
                 counts[k * buckets + idx] += 1;
             }
         }

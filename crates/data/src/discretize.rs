@@ -81,9 +81,12 @@ impl DiscreteValueDistribution {
 
     /// The distribution used by the paper's Section IV-C case study:
     /// values `0.1, 0.2, …, 1.0`, each with probability 10%.
+    #[expect(
+        clippy::expect_used,
+        reason = "uniform_over only rejects empty inputs, and this one has ten values"
+    )]
     pub fn case_study() -> Self {
         let values: Vec<f64> = (1..=10).map(|k| k as f64 / 10.0).collect();
-        // lint:allow(no-panic-in-lib) uniform_over only rejects empty inputs and this literal has ten values
         Self::uniform_over(values).expect("static construction is valid")
     }
 

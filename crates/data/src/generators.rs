@@ -123,9 +123,12 @@ impl GaussianDataset {
     }
 
     /// Generate the dataset; values are clamped into `[-1, 1]`.
+    #[expect(
+        clippy::expect_used,
+        reason = "new/with_std_dev validate std_dev positive and finite, and the loops push users * dims values"
+    )]
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
         let means = self.dimension_means();
-        // lint:allow(no-panic-in-lib) std_dev was validated positive and finite by with_std_dev/new
         let noise = Normal::new(0.0, self.std_dev).expect("validated std dev");
         let mut values = Vec::with_capacity(self.users * self.dims);
         for _ in 0..self.users {
@@ -133,7 +136,6 @@ impl GaussianDataset {
                 values.push((mu + noise.sample(rng)).clamp(-1.0, 1.0));
             }
         }
-        // lint:allow(no-panic-in-lib) the loops above push exactly users * dims values
         Dataset::from_rows(self.users, self.dims, values).expect("shape is valid")
     }
 }
@@ -162,13 +164,16 @@ impl PoissonDataset {
     }
 
     /// Generate the dataset (normalized column-wise into `[-1, 1]`).
+    #[expect(
+        clippy::expect_used,
+        reason = "rates lie in [1, 99], which Poisson::new accepts; the loops push users * dims values; [-1, 1] is a valid target"
+    )]
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
         let rates: Vec<f64> = (0..self.dims)
             .map(|_| rng.gen_range(self.rate_range.0..=self.rate_range.1))
             .collect();
         let samplers: Vec<Poisson<f64>> = rates
             .iter()
-            // lint:allow(no-panic-in-lib) rates are drawn from rate_range = [1, 99], which Poisson::new accepts
             .map(|&r| Poisson::new(r).expect("rates are positive"))
             .collect();
         let mut values = Vec::with_capacity(self.users * self.dims);
@@ -177,9 +182,7 @@ impl PoissonDataset {
                 values.push(sampler.sample(rng));
             }
         }
-        // lint:allow(no-panic-in-lib) the loops above push exactly users * dims values
         let raw = Dataset::from_rows(self.users, self.dims, values).expect("shape is valid");
-        // lint:allow(no-panic-in-lib) normalize_symmetric only rejects invalid target intervals and [-1, 1] is fixed here
         let (normalized, _) = normalize_symmetric(&raw).expect("valid target interval");
         normalized
     }
@@ -203,17 +206,24 @@ impl UniformDataset {
     }
 
     /// Generate the dataset.
+    #[expect(
+        clippy::expect_used,
+        reason = "the iterator yields users * dims values"
+    )]
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
         let values: Vec<f64> = (0..self.users * self.dims)
             .map(|_| rng.gen_range(-1.0..=1.0))
             .collect();
-        // lint:allow(no-panic-in-lib) the iterator above yields exactly users * dims values
         Dataset::from_rows(self.users, self.dims, values).expect("shape is valid")
     }
 
     /// Generate a *discretized* uniform dataset whose values are drawn from
     /// the paper's case-study support `{0.1, 0.2, …, 1.0}` with equal
     /// probability (used by Figure 3).
+    #[expect(
+        clippy::expect_used,
+        reason = "the iterator yields users * dims values"
+    )]
     pub fn generate_case_study<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
         let support: Vec<f64> = (1..=10).map(|k| k as f64 / 10.0).collect();
         let values: Vec<f64> = (0..self.users * self.dims)
@@ -226,7 +236,6 @@ impl UniformDataset {
                     .unwrap_or(1.0)
             })
             .collect();
-        // lint:allow(no-panic-in-lib) the iterator above yields exactly users * dims values
         Dataset::from_rows(self.users, self.dims, values).expect("shape is valid")
     }
 }
@@ -277,6 +286,10 @@ impl CorrelatedDataset {
     }
 
     /// Generate the dataset (rescaled column-wise into `[-1, 1]`).
+    #[expect(
+        clippy::expect_used,
+        reason = "noise_std is the literal 0.05, which Normal::new accepts; the loops push users * dims values; [-1, 1] is a valid target"
+    )]
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
         let std_normal = Normal::STANDARD;
         // Loading matrix W: d x k, entries ~ N(0, 1), plus a per-column offset so
@@ -285,7 +298,6 @@ impl CorrelatedDataset {
             .map(|_| std_normal.sample(rng))
             .collect();
         let offsets: Vec<f64> = (0..self.dims).map(|_| rng.gen_range(-0.5..0.5)).collect();
-        // lint:allow(no-panic-in-lib) noise_std is the fixed literal 0.05, which Normal::new accepts
         let noise = Normal::new(0.0, self.noise_std).expect("positive noise std");
 
         let mut values = Vec::with_capacity(self.users * self.dims);
@@ -301,9 +313,7 @@ impl CorrelatedDataset {
                 values.push(x + noise.sample(rng));
             }
         }
-        // lint:allow(no-panic-in-lib) the loops above push exactly users * dims values
         let raw = Dataset::from_rows(self.users, self.dims, values).expect("shape is valid");
-        // lint:allow(no-panic-in-lib) normalize_symmetric only rejects invalid target intervals and [-1, 1] is fixed here
         let (normalized, _) = normalize_symmetric(&raw).expect("valid target interval");
         normalized
     }

@@ -22,10 +22,6 @@
 //! * [`categorical::CategoricalDataset`] — categorical columns with one-hot
 //!   (histogram) encoding for frequency estimation.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod categorical;
 pub mod dataset;
 pub mod discretize;

@@ -96,6 +96,10 @@ impl MechanismBenchmark {
 
     /// The winning mechanism (highest probability) at supremum index `idx`,
     /// or `None` when no mechanism has been added / the index is invalid.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every row holds one probability per supremum, and idx < suprema.len() is checked first"
+    )]
     pub fn winner_at(&self, idx: usize) -> Option<&BenchmarkRow> {
         if idx >= self.suprema.len() {
             return None;

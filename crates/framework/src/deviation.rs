@@ -133,9 +133,12 @@ impl DeviationApproximation {
     }
 
     /// The approximating normal distribution `N(δ_j, σ_j²)`.
+    #[expect(
+        clippy::expect_used,
+        reason = "the constructor validates delta finite and the variance finite and positive"
+    )]
     pub fn normal(&self) -> Normal {
         Normal::from_mean_variance(self.delta, self.variance())
-            // lint:allow(no-panic-in-lib) delta/variance are validated finite and positive by the constructor, so this expect is unreachable
             .expect("variance validated at construction")
     }
 

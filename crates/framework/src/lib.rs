@@ -31,10 +31,6 @@
 //!   paper's §IV-D Laplace example.
 //! * [`case_study`] — the complete Section IV-C case study configuration.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod benchmark;
 pub mod berry_esseen;
 pub mod case_study;

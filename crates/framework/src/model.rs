@@ -273,6 +273,10 @@ impl DeviationModel {
     /// # Errors
     /// Returns [`FrameworkError::LengthMismatch`] when `suprema` has the wrong
     /// length.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "suprema.len() == dims is checked first, and the batch asks only for j < dims"
+    )]
     pub fn box_probability(&self, suprema: &[f64]) -> crate::Result<f64> {
         if suprema.len() != self.dims() {
             return Err(FrameworkError::LengthMismatch {
@@ -298,6 +302,10 @@ impl DeviationModel {
     /// bit-keyed [`ErfCache`]. Every factor is exactly
     /// [`DeviationApproximation::prob_within`] — same expressions, same
     /// rounding — so the product matches the scalar path bit for bit.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "deltas and sigmas both hold one entry per dimension, and j < deltas.len()"
+    )]
     fn box_probability_batch(&self, supremum: impl Fn(usize) -> f64) -> f64 {
         let dims = self.deltas.len();
         let mut cache = if dims >= ERF_CACHE_MIN_DIMS {

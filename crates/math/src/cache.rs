@@ -64,8 +64,11 @@ impl ErfCache {
     /// The returned value is always exactly what [`erf`] would return: the
     /// cache is keyed on the full bit pattern, so there are no approximate
     /// matches, and a collision simply evicts the older entry.
-    // hot-path: one memo probe per erf evaluation in the analytical loops
     #[inline]
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "slot() masks with SLOTS - 1 and both tables hold SLOTS entries"
+    )]
     pub fn erf(&mut self, x: f64) -> f64 {
         if x.is_nan() {
             return f64::NAN;

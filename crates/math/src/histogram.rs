@@ -68,6 +68,10 @@ impl Histogram {
 
     /// Record one observation. Values outside `[lo, hi)` are counted in the
     /// overflow/underflow tallies and excluded from the density.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "idx is clamped to counts.len() - 1, and new() rejects zero bins"
+    )]
     pub fn push(&mut self, x: f64) {
         self.total += 1;
         if x < self.lo {

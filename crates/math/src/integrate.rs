@@ -74,7 +74,10 @@ pub fn adaptive_simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> cr
         ((b - a) / 6.0 * (fa + 4.0 * fm + fb), fa, fm, fb)
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the Simpson recursion carries both endpoints and three samples"
+    )]
     fn recurse<F: Fn(f64) -> f64>(
         f: &F,
         a: f64,
@@ -150,6 +153,7 @@ pub fn gauss_legendre<F: Fn(f64) -> f64>(f: F, a: f64, b: f64) -> crate::Result<
     let half = 0.5 * (b - a);
     let mid = 0.5 * (a + b);
     let mut sum = 0.0;
+    #[expect(clippy::indexing_slicing, reason = "i < 10, the length of both tables")]
     for i in 0..10 {
         let x = GL20_NODES[i] * half;
         sum += GL20_WEIGHTS[i] * (f(mid + x) + f(mid - x));

@@ -24,10 +24,6 @@
 //! * [`vector`] — small dense-vector helpers (norms, Hadamard product).
 //! * [`quantile`] — order statistics on slices.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod cache;
 pub mod erf;
 pub mod error;

@@ -35,10 +35,12 @@ pub fn quantile(xs: &[f64], q: f64) -> crate::Result<f64> {
     Ok(quantile_sorted_unchecked(&sorted, q))
 }
 
-/// Quantile of data that is already sorted ascending. No validation is done on
-/// the ordering; prefer [`quantile`] unless you are in a hot loop with data you
-/// have just sorted.
-pub fn quantile_sorted_unchecked(sorted: &[f64], q: f64) -> f64 {
+/// Quantile of data that is already sorted ascending, with no validation.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "quantile() passes a non-empty slice and q in [0, 1], so lo <= hi <= n - 1"
+)]
+fn quantile_sorted_unchecked(sorted: &[f64], q: f64) -> f64 {
     let n = sorted.len();
     if n == 1 {
         return sorted[0];

@@ -144,6 +144,10 @@ pub fn column_means(data: &[f64], rows: usize, cols: usize) -> crate::Result<Vec
     }
     let mut sums = vec![0.0; cols];
     for r in 0..rows {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "data.len() == rows * cols was checked above"
+        )]
         let row = &data[r * cols..(r + 1) * cols];
         for (s, x) in sums.iter_mut().zip(row) {
             *s += x;

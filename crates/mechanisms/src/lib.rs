@@ -38,10 +38,6 @@
 //! which is how the Piecewise, Square Wave and Duchi mechanisms perturb a
 //! whole report in two passes: draw every word first, then transform.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod draw;
 pub mod duchi;
 pub mod error;

@@ -65,7 +65,10 @@ impl<M: Mechanism> Rescaled<M> {
     }
 
     /// Map a native-domain value to the exposed domain.
-    #[allow(clippy::wrong_self_convention)]
+    #[expect(
+        clippy::wrong_self_convention,
+        reason = "maps a value into the exposed domain; it constructs no Self"
+    )]
     fn from_native(&self, u: f64) -> f64 {
         self.lo + (u - self.native_lo) * self.scale
     }

@@ -38,10 +38,14 @@ pub fn empirical_density_ratio_bound(
     seed: u64,
 ) -> f64 {
     let bins = 80;
-    // lint:allow(no-panic-in-lib) test-support helper: a non-finite or inverted range is a bug in the calling test, and panicking there is the useful behaviour
-    let mut ha = Histogram::new(range.0, range.1, bins).expect("valid histogram range");
-    // lint:allow(no-panic-in-lib) same construction as `ha` one line up
-    let mut hb = Histogram::new(range.0, range.1, bins).expect("valid histogram range");
+    #[expect(
+        clippy::expect_used,
+        reason = "test support: an invalid range is a bug in the calling test, and panicking there is the useful behaviour"
+    )]
+    let (mut ha, mut hb) = (
+        Histogram::new(range.0, range.1, bins).expect("valid histogram range"),
+        Histogram::new(range.0, range.1, bins).expect("valid histogram range"),
+    );
     let mut rng = StdRng::seed_from_u64(seed);
     for _ in 0..n {
         ha.push(mechanism.perturb(t_a, &mut rng));

@@ -68,6 +68,10 @@ impl Aggregator {
                 });
             }
         }
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "every dim was checked < dims above, and per_dimension holds dims entries"
+        )]
         for &(dim, value) in report.entries() {
             self.per_dimension[dim].push(value);
         }

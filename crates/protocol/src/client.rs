@@ -108,6 +108,10 @@ impl<'a> Client<'a> {
     /// match the configured dimensionality.
     ///
     /// [`perturb_tuple`]: Client::perturb_tuple
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "tuple.len() == dims is checked first, and the sampler yields dims below dims"
+    )]
     pub fn perturb_tuple_into(
         &self,
         tuple: &[f64],
@@ -178,6 +182,10 @@ impl<'a> Client<'a> {
 ///
 /// The first and last branches make no heap allocation once `out` has spare
 /// capacity for `amount` and `length` entries respectively.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "len <= i < amount <= DISPLACED_CAPACITY bounds every displaced index, and the dense pool holds length entries"
+)]
 fn sample_dims_into(rng: &mut StdRng, length: usize, amount: usize, out: &mut Vec<(usize, f64)>) {
     let sparse = amount.saturating_mul(2) < length;
     if sparse && amount <= DISPLACED_CAPACITY {

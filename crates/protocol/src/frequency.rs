@@ -13,7 +13,8 @@ use crate::{BudgetSplit, ProtocolError};
 use hdldp_data::CategoricalDataset;
 use hdldp_math::RunningMoments;
 use hdldp_mechanisms::{
-    LaplaceMechanism, Mechanism, MechanismKind, PiecewiseMechanism, Rescaled, SquareWaveMechanism,
+    DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
+    PiecewiseMechanism, Rescaled, ScdfMechanism, SquareWaveMechanism, StaircaseMechanism,
 };
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
@@ -46,8 +47,12 @@ impl FrequencyEstimate {
     /// ends like any other out-of-range value), and a degenerate column whose
     /// clipped mass is zero falls back to the uniform distribution — the
     /// result is always a valid distribution, never NaN.
-    pub fn normalized(&self, dim: usize) -> Vec<f64> {
-        let raw = &self.estimated[dim];
+    ///
+    /// # Errors
+    /// Returns [`ProtocolError::DimensionOutOfRange`] when `dim` has no
+    /// estimate.
+    pub fn normalized(&self, dim: usize) -> crate::Result<Vec<f64>> {
+        let raw = column(&self.estimated, dim)?;
         let clipped: Vec<f64> = raw
             .iter()
             .map(|f| if f.is_nan() { 0.0 } else { f.clamp(0.0, 1.0) })
@@ -55,93 +60,59 @@ impl FrequencyEstimate {
         let total: f64 = clipped.iter().sum();
         if total <= 0.0 {
             // Degenerate: fall back to the uniform distribution.
-            return vec![1.0 / raw.len() as f64; raw.len()];
+            return Ok(vec![1.0 / raw.len() as f64; raw.len()]);
         }
-        clipped.iter().map(|f| f / total).collect()
+        Ok(clipped.iter().map(|f| f / total).collect())
     }
 
     /// Utility metrics for one dimension's raw estimate.
     ///
     /// # Errors
-    /// Propagates [`crate::UtilityReport::compare`] errors.
+    /// Returns [`ProtocolError::DimensionOutOfRange`] when `dim` has no
+    /// estimate or no true frequencies, and propagates
+    /// [`crate::UtilityReport::compare`] errors.
     pub fn utility(&self, dim: usize) -> crate::Result<crate::UtilityReport> {
-        crate::UtilityReport::compare(&self.estimated[dim], &self.true_frequencies[dim])
+        crate::UtilityReport::compare(
+            column(&self.estimated, dim)?,
+            column(&self.true_frequencies, dim)?,
+        )
     }
 
     /// Utility metrics for one dimension's normalized estimate.
     ///
     /// # Errors
-    /// Propagates [`crate::UtilityReport::compare`] errors.
+    /// Same conditions as [`FrequencyEstimate::utility`].
     pub fn utility_normalized(&self, dim: usize) -> crate::Result<crate::UtilityReport> {
-        crate::UtilityReport::compare(&self.normalized(dim), &self.true_frequencies[dim])
+        crate::UtilityReport::compare(&self.normalized(dim)?, column(&self.true_frequencies, dim)?)
     }
+}
+
+/// Dimension `dim` of per-dimension `columns`.
+fn column(columns: &[Vec<f64>], dim: usize) -> crate::Result<&[f64]> {
+    columns
+        .get(dim)
+        .map(Vec::as_slice)
+        .ok_or(ProtocolError::DimensionOutOfRange {
+            dimension: dim,
+            dims: columns.len(),
+        })
 }
 
 /// Build a mechanism of the given kind on the `[0, 1]` input domain of
-/// one-hot entries, with the given per-entry budget.
+/// one-hot entries, with the given per-entry budget: Square Wave is native
+/// there, and every other kind is transported from `[-1, 1]` by [`Rescaled`].
 fn build_unit_mechanism(kind: MechanismKind, epsilon: f64) -> crate::Result<Box<dyn Mechanism>> {
-    Ok(match kind {
-        MechanismKind::SquareWave => Box::new(SquareWaveMechanism::new(epsilon)?),
-        MechanismKind::Laplace => {
-            Box::new(Rescaled::new(LaplaceMechanism::new(epsilon)?, 0.0, 1.0)?)
-        }
-        MechanismKind::Piecewise => {
-            Box::new(Rescaled::new(PiecewiseMechanism::new(epsilon)?, 0.0, 1.0)?)
-        }
-        other => {
-            // Remaining mechanisms are natively on [-1, 1]; transport them.
-            Box::new(UnitRescaledDyn::new(other, epsilon)?)
-        }
-    })
-}
-
-/// A tiny helper wrapping `build_mechanism` + rescale for the trait-object case
-/// (Rescaled is generic over the concrete mechanism, so the generic path above
-/// covers the common kinds and this covers the rest through dynamic dispatch).
-struct UnitRescaledDyn {
-    inner: Box<dyn Mechanism>,
-}
-
-impl UnitRescaledDyn {
-    fn new(kind: MechanismKind, epsilon: f64) -> crate::Result<Self> {
-        Ok(Self {
-            inner: hdldp_mechanisms::build_mechanism(kind, epsilon)?,
-        })
+    fn unit<M: Mechanism + 'static>(native: M) -> crate::Result<Box<dyn Mechanism>> {
+        Ok(Box::new(Rescaled::new(native, 0.0, 1.0)?))
     }
-
-    fn to_native(&self, x: f64) -> f64 {
-        -1.0 + 2.0 * x.clamp(0.0, 1.0)
-    }
-}
-
-impl Mechanism for UnitRescaledDyn {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-    fn epsilon(&self) -> f64 {
-        self.inner.epsilon()
-    }
-    fn bound(&self) -> hdldp_mechanisms::Bound {
-        self.inner.bound()
-    }
-    fn input_domain(&self) -> (f64, f64) {
-        (0.0, 1.0)
-    }
-    fn output_support(&self) -> (f64, f64) {
-        let (lo, hi) = self.inner.output_support();
-        ((lo + 1.0) / 2.0, (hi + 1.0) / 2.0)
-    }
-    fn perturb(&self, t: f64, rng: &mut StdRng) -> f64 {
-        (self.inner.perturb(self.to_native(t), rng) + 1.0) / 2.0
-    }
-    fn bias(&self, t: f64) -> f64 {
-        self.inner.bias(self.to_native(t)) / 2.0
-    }
-    fn variance(&self, t: f64) -> f64 {
-        self.inner.variance(self.to_native(t)) / 4.0
-    }
-    fn is_unbiased(&self) -> bool {
-        self.inner.is_unbiased()
+    match kind {
+        MechanismKind::SquareWave => Ok(Box::new(SquareWaveMechanism::new(epsilon)?)),
+        MechanismKind::Laplace => unit(LaplaceMechanism::new(epsilon)?),
+        MechanismKind::Scdf => unit(ScdfMechanism::new(epsilon)?),
+        MechanismKind::Staircase => unit(StaircaseMechanism::new(epsilon)?),
+        MechanismKind::Duchi => unit(DuchiMechanism::new(epsilon)?),
+        MechanismKind::Piecewise => unit(PiecewiseMechanism::new(epsilon)?),
+        MechanismKind::Hybrid => unit(HybridMechanism::new(epsilon)?),
     }
 }
 
@@ -225,6 +196,10 @@ impl FrequencyPipeline {
                         seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
                     let mut rng = StdRng::seed_from_u64(user_seed);
                     let chosen = sample(&mut rng, dims, m);
+                    #[expect(
+                        clippy::indexing_slicing,
+                        reason = "j < dims; counts and freq hold one entry per dimension, and freq[j] one per category"
+                    )]
                     for j in chosen {
                         let value = data.value(i, j).map_err(ProtocolError::from)?;
                         shard.counts[j] += 1;
@@ -254,8 +229,8 @@ impl FrequencyPipeline {
 
         let mut estimated = Vec::with_capacity(dims);
         let mut true_frequencies = Vec::with_capacity(dims);
-        for (j, per_category) in total.freq.iter().enumerate() {
-            if total.counts[j] == 0 {
+        for (j, (per_category, &count)) in total.freq.iter().zip(&total.counts).enumerate() {
+            if count == 0 {
                 return Err(ProtocolError::EmptyDimension { dimension: j });
             }
             estimated.push(per_category.iter().map(|acc| acc.mean()).collect());
@@ -302,6 +277,10 @@ mod tests {
             let m = build_unit_mechanism(kind, 0.5).unwrap();
             assert_eq!(m.input_domain(), (0.0, 1.0), "{kind:?}");
             assert!((m.epsilon() - 0.5).abs() < 1e-12, "{kind:?}");
+            if let Some(limit) = m.bound().limit() {
+                let (lo, hi) = m.output_support();
+                assert_eq!(limit, lo.abs().max(hi.abs()), "{kind:?}");
+            }
         }
     }
 
@@ -322,7 +301,7 @@ mod tests {
             let utility = est.utility(dim).unwrap();
             assert!(utility.mse < 1e-3, "dim {dim}: mse = {}", utility.mse);
             // Normalized estimate sums to one.
-            let total: f64 = est.normalized(dim).iter().sum();
+            let total: f64 = est.normalized(dim).unwrap().iter().sum();
             assert!((total - 1.0).abs() < 1e-9);
         }
     }
@@ -373,15 +352,49 @@ mod tests {
             report_counts: vec![10, 10, 10, 10],
             per_entry_epsilon: 1.0,
         };
-        assert_eq!(estimate.normalized(0), vec![0.25; 4]);
-        assert_eq!(estimate.normalized(1), vec![0.5; 2]);
+        assert_eq!(estimate.normalized(0).unwrap(), vec![0.25; 4]);
+        assert_eq!(estimate.normalized(1).unwrap(), vec![0.5; 2]);
         // NaN → 0, ∞ clips to 1, negatives clip to 0: {0, 0.5, 1, 0} / 1.5.
-        let n2 = estimate.normalized(2);
+        let n2 = estimate.normalized(2).unwrap();
         assert!(n2.iter().all(|f| f.is_finite()));
         assert!((n2.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         assert_eq!(n2, vec![0.0, 0.5 / 1.5, 1.0 / 1.5, 0.0]);
         // All-negative clips to zero mass → uniform fallback.
-        assert_eq!(estimate.normalized(3), vec![0.5; 2]);
+        assert_eq!(estimate.normalized(3).unwrap(), vec![0.5; 2]);
+    }
+
+    /// Estimates for two dimensions, but true frequencies for only the first.
+    fn estimate_missing_truth() -> FrequencyEstimate {
+        FrequencyEstimate {
+            estimated: vec![vec![0.5, 0.5], vec![0.25; 4]],
+            true_frequencies: vec![vec![0.5, 0.5]],
+            report_counts: vec![10, 10],
+            per_entry_epsilon: 1.0,
+        }
+    }
+
+    #[test]
+    fn normalized_rejects_a_dimension_without_an_estimate() {
+        assert!(matches!(
+            estimate_missing_truth().normalized(2),
+            Err(ProtocolError::DimensionOutOfRange { dimension: 2, .. })
+        ));
+    }
+
+    #[test]
+    fn utility_rejects_a_dimension_without_true_frequencies() {
+        assert!(matches!(
+            estimate_missing_truth().utility(1),
+            Err(ProtocolError::DimensionOutOfRange { dimension: 1, .. })
+        ));
+    }
+
+    #[test]
+    fn utility_normalized_rejects_a_dimension_without_true_frequencies() {
+        assert!(matches!(
+            estimate_missing_truth().utility_normalized(1),
+            Err(ProtocolError::DimensionOutOfRange { dimension: 1, .. })
+        ));
     }
 
     #[test]

@@ -159,7 +159,7 @@ impl ReportBatch {
     /// Returns `fill`'s error, the errors of
     /// [`push_entries`](ReportBatch::push_entries), and
     /// [`ProtocolError::InvalidConfig`] when `fill` shrank the buffer.
-    // hot-path: the bulk-ingest push; its errors are built out of line
+    // The bulk-ingest push; its errors are built out of line.
     pub(crate) fn push_with<F>(&mut self, fill: F) -> crate::Result<()>
     where
         F: FnOnce(&mut Vec<(usize, f64)>) -> crate::Result<()>,
@@ -175,7 +175,7 @@ impl ReportBatch {
         };
         match filled.and_then(|()| check_entries(report, self.dims)) {
             Ok(()) => {
-                // lint:allow(no-alloc-hot-path) clear() keeps this capacity; only the first batch grows it
+                // clear() keeps this capacity; only the first batch grows it.
                 self.offsets.push(self.entries.len());
                 Ok(())
             }
@@ -213,12 +213,9 @@ impl ReportBatch {
     ///
     /// Returns `None` when `i >= reports()`.
     pub fn report(&self, i: usize) -> Option<&[(usize, f64)]> {
-        if i >= self.reports() {
-            return None;
-        }
-        let lo = self.offsets[i];
-        let hi = self.offsets[i + 1];
-        Some(&self.entries[lo..hi])
+        let lo = *self.offsets.get(i)?;
+        let hi = *self.offsets.get(i + 1)?;
+        self.entries.get(lo..hi)
     }
 
     /// Drop all buffered reports, keeping the allocations for reuse.
@@ -408,7 +405,9 @@ impl IngestEngine {
     ///
     /// # Errors
     /// Returns [`ProtocolError::DimensionOutOfRange`] when the report
-    /// mentions a dimension `>= dims`; the engine is untouched in that case.
+    /// mentions a dimension `>= dims` and [`ProtocolError::NonFiniteValue`]
+    /// when a value is NaN or infinite; the engine is untouched in either
+    /// case.
     pub fn submit(&mut self, user_id: u64, report: &Report) -> crate::Result<()> {
         self.submit_entries(user_id, report.entries())
     }
@@ -418,6 +417,10 @@ impl IngestEngine {
     ///
     /// # Errors
     /// Same conditions as [`submit`](IngestEngine::submit).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "route() returns a shard below the shard count, and pending and shards hold one entry per shard"
+    )]
     pub fn submit_entries(&mut self, user_id: u64, entries: &[(usize, f64)]) -> crate::Result<()> {
         let shard = self.router.route(user_id);
         let batch = &mut self.pending[shard];

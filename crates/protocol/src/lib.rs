@@ -32,10 +32,6 @@
 //! * [`telemetry`] — pre-registered runtime-metric bundles (ingest counters,
 //!   phase timers) recording into an [`hdldp_telemetry::Registry`].
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod aggregator;
 pub mod budget;
 pub mod client;

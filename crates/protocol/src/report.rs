@@ -52,7 +52,7 @@ impl Report {
 /// Returns, for the first bad entry, [`ProtocolError::DimensionOutOfRange`]
 /// when its dimension is `>= dims` and [`ProtocolError::NonFiniteValue`]
 /// when its value is NaN or infinite.
-// hot-path: one branch-free scan per report; the error is built out of line
+// One branch-free scan per report; the error is built out of line.
 #[inline]
 pub(crate) fn check_entries(entries: &[(usize, f64)], dims: usize) -> crate::Result<()> {
     // Each test is an unsigned `x < limit` read off bit 63: for `x` and

@@ -49,7 +49,6 @@ impl ShardRouter {
     }
 
     /// The shard a user's reports are routed to (stable across runs).
-    // hot-path: pure integer mixing, called once per report
     pub fn route(&self, user_id: u64) -> usize {
         // Routing is the identity with one shard; skip the hash entirely so
         // the unsharded engine pays nothing for the routing layer.
@@ -150,7 +149,6 @@ impl ShardAccumulator {
     /// Returns [`ProtocolError::DimensionOutOfRange`] when an entry mentions a
     /// dimension `>= dims` and [`ProtocolError::NonFiniteValue`] when a value
     /// is NaN or infinite; the accumulator is untouched in both cases.
-    // hot-path: validate then add in place; error construction stays alloc-free
     pub fn accumulate(&mut self, entries: &[(usize, f64)]) -> crate::Result<()> {
         // Validate before mutating so a bad report is rejected atomically.
         check_entries(entries, self.dims())?;
@@ -165,8 +163,8 @@ impl ShardAccumulator {
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when the batch was built for a
     /// different dimensionality.
-    // hot-path: the per-batch drain loop; the formatted mismatch error is
-    // built in the #[cold] helper below so this body never allocates
+    // The formatted mismatch error is built in the #[cold] helper below, so
+    // this body never allocates.
     pub fn ingest_batch(&mut self, batch: &ReportBatch) -> crate::Result<()> {
         if batch.dims() != self.dims() {
             return Err(batch_dims_mismatch(batch.dims(), self.dims()));

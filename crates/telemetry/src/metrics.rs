@@ -52,7 +52,6 @@ impl Counter {
     }
 
     /// Increment by `n`.
-    // hot-path: one relaxed fetch_add on the counter cell
     #[inline]
     pub fn add(&self, n: u64) {
         if let Some(cell) = &self.cell {
@@ -111,7 +110,6 @@ impl Gauge {
     }
 
     /// Overwrite the gauge with `value`.
-    // hot-path: one relaxed store of the value's bit pattern
     #[inline]
     pub fn set(&self, value: f64) {
         if let Some(cell) = &self.cell {

@@ -104,11 +104,9 @@ pub fn empirical_top_k(values: &[usize], categories: usize, k: usize) -> Vec<usi
             *c += 1;
         }
     }
-    let mut order: Vec<usize> = (0..categories).collect();
-    // lint:allow(no-panic-in-lib) a and b come from 0..categories == counts.len(), so both lookups are in range
-    order.sort_by(|&a, &b| counts[b].cmp(&counts[a]).then(a.cmp(&b)));
-    order.truncate(k.min(categories));
-    order
+    let mut ranked: Vec<(usize, u64)> = counts.into_iter().enumerate().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    ranked.into_iter().take(k).map(|(j, _)| j).collect()
 }
 
 /// Generate a planted heavy-hitter sample: `heavy` categories share
@@ -234,6 +232,10 @@ impl HeavyHitterDetector {
     ///
     /// # Errors
     /// Propagates pipeline errors and HDR4ME re-calibration errors.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the ranking indexes frequencies only with j from 0..frequencies.len()"
+    )]
     pub fn identify(&self, values: &[usize]) -> Result<HeavyHitterReport> {
         let estimate = self.pipeline.run(values)?;
         let frequencies = match self.config.recalibration {
@@ -248,7 +250,7 @@ impl HeavyHitterDetector {
                 hdr.recalibrate_frequencies(&estimate, 0, &self.pipeline.mechanism())?
                     .enhanced
             }
-            None => estimate.normalized(0),
+            None => estimate.normalized(0)?,
         };
 
         let mut order: Vec<usize> = (0..frequencies.len()).collect();

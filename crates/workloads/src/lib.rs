@@ -24,10 +24,6 @@
 //! [`telemetry`]), and reuse the protocol layer's sharded million-user
 //! ingest path for collection.
 
-#![warn(missing_docs)]
-#![warn(rust_2018_idioms)]
-#![forbid(unsafe_code)]
-
 pub mod collect;
 pub mod error;
 pub mod heavy_hitters;

@@ -239,6 +239,10 @@ impl CategoricalOracle {
                     categories: self.categories,
                 });
             }
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "grr_report returns a category below categories == counts.len()"
+            )]
             match self.kind {
                 OracleKind::Grr => counts[self.grr_report(value, rng)] += 1,
                 OracleKind::Oue => {

@@ -47,7 +47,7 @@ pub struct RangeQueryConfig {
 }
 
 /// A consistent estimated dyadic-interval tree, ready to answer range queries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RangeTree {
     domain: usize,
     padded: usize,
@@ -71,11 +71,6 @@ impl RangeTree {
         self.levels.len() - 1
     }
 
-    /// The estimated node frequencies of one level (level 0 is the root).
-    pub fn level(&self, l: usize) -> &[f64] {
-        &self.levels[l]
-    }
-
     /// Estimated frequency mass of `range` (half-open, clamped to the
     /// domain), answered from the minimal dyadic decomposition and clamped
     /// into `[0, 1]`.
@@ -96,6 +91,10 @@ impl RangeTree {
     }
 
     /// Sum the minimal set of tree nodes covering `[lo, hi)`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "only a partly covered node recurses, which a leaf never is, so level <= depth and node < 2^level"
+    )]
     fn decompose(&self, lo: usize, hi: usize, level: usize, node: usize, width: usize) -> f64 {
         let node_lo = node * width;
         let node_hi = node_lo + width;
@@ -113,10 +112,9 @@ impl RangeTree {
     /// floating point) after the consistency pass.
     pub fn max_consistency_gap(&self) -> f64 {
         let mut worst: f64 = 0.0;
-        for l in 0..self.depth() {
-            for (node, &parent) in self.levels[l].iter().enumerate() {
-                let kids = self.levels[l + 1][2 * node] + self.levels[l + 1][2 * node + 1];
-                worst = worst.max((parent - kids).abs());
+        for (parents, children) in self.levels.iter().zip(self.levels.iter().skip(1)) {
+            for (&parent, kids) in parents.iter().zip(children.chunks(2)) {
+                worst = worst.max((parent - kids.iter().sum::<f64>()).abs());
             }
         }
         worst
@@ -235,7 +233,7 @@ impl RangeWorkload {
                     hdr.recalibrate_frequencies(&estimate, 0, &pipeline.mechanism())?
                         .enhanced
                 }
-                None => estimate.normalized(0),
+                None => estimate.normalized(0)?,
             };
             levels.push(freqs);
         }
@@ -389,7 +387,7 @@ mod tests {
                 "recal={recal:?}: gap {}",
                 tree.max_consistency_gap()
             );
-            assert!((tree.level(0)[0] - 1.0).abs() < 1e-12);
+            assert!((tree.levels[0][0] - 1.0).abs() < 1e-12);
         }
     }
 
@@ -412,7 +410,10 @@ mod tests {
         let values = skewed_values(2_000, 64, 17);
         let tree = workload(None).build(&values).unwrap();
         assert_eq!(tree.query(10..10).unwrap(), 0.0);
-        #[allow(clippy::reversed_empty_ranges)]
+        #[expect(
+            clippy::reversed_empty_ranges,
+            reason = "an inverted range is the input under test"
+        )]
         let inverted = 5..3;
         assert!(tree.query(inverted).is_err());
         assert!((tree.query(0..64).unwrap() - 1.0).abs() < 1e-9);

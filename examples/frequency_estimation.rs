@@ -54,7 +54,7 @@ pub fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
     for q in 0..questions {
         let truth = &estimate.true_frequencies[q];
         raw_mse += stats::mse(&estimate.estimated[q], truth)?;
-        norm_mse += stats::mse(&estimate.normalized(q), truth)?;
+        norm_mse += stats::mse(&estimate.normalized(q)?, truth)?;
         let r = Hdr4me::l1().recalibrate_frequencies(&estimate, q, pipeline.mechanism())?;
         hdr_mse += stats::mse(&r.enhanced, truth)?;
     }

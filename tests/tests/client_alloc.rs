@@ -10,6 +10,11 @@
 //! allocations made there. This binary therefore holds a single test, so no
 //! sibling test allocates while it counts.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the allocator's counter must be a const-initialised static, which a telemetry Counter is not"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -8,6 +8,11 @@
 //! directly rather than by inspection. The counter is thread-local, so the
 //! other tests (which run concurrently on sibling threads) never perturb it.
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the snapshot test stops its writer threads with a raw AtomicBool"
+)]
+
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -16,8 +21,11 @@ use std::thread;
 
 use hdldp_data::GaussianDataset;
 use hdldp_integration_tests::test_rng;
+use hdldp_math::ErfCache;
 use hdldp_mechanisms::MechanismKind;
-use hdldp_protocol::{IngestConfig, IngestEngine, MeanEstimationPipeline, PipelineConfig, Report};
+use hdldp_protocol::{
+    IngestConfig, IngestEngine, MeanEstimationPipeline, PipelineConfig, Report, ShardAccumulator,
+};
 use hdldp_telemetry::Registry;
 
 thread_local! {
@@ -121,6 +129,7 @@ fn snapshot_while_writing_never_tears_or_panics() {
         }
 
         let mut last_count = 0u64;
+        let mut last_hist = (0u64, 0u64, 0u64);
         for _ in 0..500 {
             let snapshot = registry.snapshot();
             let count = snapshot.counter("live_total").unwrap();
@@ -141,6 +150,13 @@ fn snapshot_while_writing_never_tears_or_panics() {
                     assert!(hist.p50_ns >= 1, "quantile fell outside the sample bucket");
                     assert!(hist.max_ns >= 7, "max below the only recorded value");
                 }
+                // Each cell only grows, so a later snapshot never reads less.
+                let now = (hist.count, hist.sum_ns, hist.max_ns);
+                assert!(
+                    now.0 >= last_hist.0 && now.1 >= last_hist.1 && now.2 >= last_hist.2,
+                    "histogram (count, sum, max) went backwards: {last_hist:?} -> {now:?}"
+                );
+                last_hist = now;
             }
         }
         stop.store(true, Ordering::Relaxed);
@@ -179,22 +195,75 @@ fn disabled_registry_records_nothing_and_allocates_nothing() {
 fn enabled_hot_path_does_not_allocate_per_record() {
     let registry = Registry::new();
     let counter = registry.counter("hot_total");
+    let gauge = registry.gauge("hot_ratio");
     let histogram = registry.histogram("hot_ns");
 
     // Warm-up records nothing new structurally; the recording loop itself
-    // must be allocation-free (the ISSUE's "allocation-free on the hot path").
+    // must be allocation-free.
     counter.inc();
+    gauge.set(0.0);
     histogram.record_ns(1);
 
     let (allocations, ()) = allocations_during(|| {
         for i in 0..10_000 {
             counter.inc();
+            counter.add(2);
+            gauge.set(i as f64);
             histogram.record_ns(i + 1);
         }
     });
 
     assert_eq!(allocations, 0, "enabled record path allocated");
-    assert_eq!(counter.value(), 10_001);
+    assert_eq!(counter.value(), 30_001);
+    assert_eq!(gauge.value(), 9_999.0);
+}
+
+#[test]
+fn accumulate_submit_and_erf_do_not_allocate_once_warm() {
+    let entries = [(1usize, 0.5), (3, -0.25), (7, 1.0)];
+
+    let mut shard = ShardAccumulator::new(8).unwrap();
+    shard.accumulate(&entries).unwrap();
+    let (allocations, ()) = allocations_during(|| {
+        for _ in 0..1_000 {
+            shard.accumulate(&entries).unwrap();
+        }
+    });
+    assert_eq!(allocations, 0, "ShardAccumulator::accumulate allocated");
+
+    // One shard, so every flush runs inline on this thread. The first batch
+    // grows the batch buffers; every later one reuses them.
+    let registry = Registry::new();
+    let mut engine =
+        IngestEngine::with_telemetry(8, IngestConfig::new(1, 16).unwrap(), &registry).unwrap();
+    for user in 0..16 {
+        engine.submit_entries(user, &entries).unwrap();
+    }
+    let (allocations, ()) = allocations_during(|| {
+        for user in 16..1_016 {
+            engine.submit_entries(user, &entries).unwrap();
+        }
+    });
+    assert_eq!(allocations, 0, "IngestEngine::submit_entries allocated");
+    assert_eq!(
+        registry.snapshot().counter("ingest_batch_flushes_total"),
+        Some(63),
+        "the counted calls must span batch flushes"
+    );
+
+    let mut cache = ErfCache::new();
+    cache.erf(0.5);
+    let (allocations, ()) = allocations_during(|| {
+        for i in 0..1_000 {
+            cache.erf(0.5);
+            cache.erf(f64::from(i) * 1e-3);
+        }
+    });
+    assert_eq!(allocations, 0, "ErfCache::erf allocated");
+    assert!(
+        cache.hits() > 0 && cache.misses() > 1,
+        "both lookup paths ran"
+    );
 }
 
 #[test]
