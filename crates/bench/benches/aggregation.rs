@@ -2,7 +2,7 @@
 //! (ingesting reports and producing the naive per-dimension means).
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdldp_protocol::{Aggregator, IngestConfig, IngestEngine, Report};
+use hdldp_protocol::{IngestConfig, IngestEngine, Report};
 use hdldp_telemetry::Registry;
 
 fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Vec<Report> {
@@ -17,53 +17,10 @@ fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Vec<Rep
         .collect()
 }
 
-fn bench_ingest(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aggregator_ingest");
-    for &dims in &[100usize, 1_000, 10_000] {
-        let reports = make_reports(1_000, dims, 10);
-        group.bench_with_input(BenchmarkId::from_parameter(dims), &dims, |b, &dims| {
-            b.iter(|| {
-                let mut agg = Aggregator::new(dims).unwrap();
-                for report in &reports {
-                    agg.ingest(black_box(report)).unwrap();
-                }
-                black_box(agg.report_counts())
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_ingest_scaling(c: &mut Criterion) {
-    // Same group as `bench_ingest` but parameterized on report count instead
-    // of dimension count, pushing into the million-report regime; the `n`
-    // prefix keeps the ids disjoint from the dims family above.
-    let mut group = c.benchmark_group("aggregator_ingest");
-    let dims = 1_000usize;
-    for &count in &[10_000usize, 1_000_000] {
-        let reports = make_reports(count, dims, 8);
-        group.bench_with_input(
-            BenchmarkId::from_parameter(format!("n{count}")),
-            &count,
-            |b, _| {
-                b.iter(|| {
-                    let mut agg = Aggregator::new(dims).unwrap();
-                    for report in &reports {
-                        agg.ingest(black_box(report)).unwrap();
-                    }
-                    black_box(agg.report_counts())
-                })
-            },
-        );
-    }
-    group.finish();
-}
-
 fn bench_sharded_ingest(c: &mut Criterion) {
-    // The sharded engine on the same workload shape as `aggregator_ingest`:
-    // hash-route every report into its shard batch, flush, and merge the
+    // Hash-route every report into its shard batch, flush, and merge the
     // per-shard partial sums into the final counts. Shard count is the swept
-    // parameter; `shards1` is the closest analogue of the single-loop path.
+    // parameter; `shards1` is the single-shard row.
     let mut group = c.benchmark_group("sharded_ingest");
     let dims = 1_000usize;
     for &count in &[10_000usize, 1_000_000] {
@@ -125,27 +82,9 @@ fn bench_sharded_ingest_telemetry(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_estimated_means(c: &mut Criterion) {
-    let mut group = c.benchmark_group("aggregator_estimated_means");
-    for &dims in &[100usize, 10_000] {
-        let reports = make_reports(5_000, dims, 20);
-        let mut agg = Aggregator::new(dims).unwrap();
-        for report in &reports {
-            agg.ingest(report).unwrap();
-        }
-        group.bench_with_input(BenchmarkId::from_parameter(dims), &dims, |b, _| {
-            b.iter(|| black_box(agg.estimated_means().unwrap()))
-        });
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
-    bench_ingest,
-    bench_ingest_scaling,
     bench_sharded_ingest,
-    bench_sharded_ingest_telemetry,
-    bench_estimated_means
+    bench_sharded_ingest_telemetry
 );
 criterion_main!(benches);

@@ -18,8 +18,6 @@ use crate::solver::{solve_l1, solve_l2};
 use crate::telemetry::RecalibrationMetrics;
 use crate::{CoreError, ImprovementGuarantee, LambdaSelector, Regularization};
 use hdldp_framework::DeviationModel;
-use hdldp_mechanisms::Mechanism;
-use hdldp_protocol::MeanEstimate;
 use hdldp_telemetry::Registry;
 use serde::{Deserialize, Serialize};
 
@@ -142,28 +140,6 @@ impl Hdr4me {
             guarantee,
         })
     }
-
-    /// Convenience wrapper: build the deviation model for a pipeline result and
-    /// re-calibrate it in one call.
-    ///
-    /// `mechanism` must be the per-dimension mechanism the estimate was
-    /// produced with (the pipeline exposes it), and `dataset_columns` the
-    /// per-dimension value distributions — the average report count is taken
-    /// from the estimate itself.
-    ///
-    /// # Errors
-    /// Propagates framework and solver errors.
-    pub fn recalibrate_estimate(
-        &self,
-        estimate: &MeanEstimate,
-        mechanism: &dyn Mechanism,
-        dataset: &hdldp_data::Dataset,
-    ) -> crate::Result<RecalibratedMean> {
-        let avg_reports = estimate.report_counts.iter().sum::<u64>() as f64
-            / estimate.report_counts.len().max(1) as f64;
-        let model = DeviationModel::for_dataset(mechanism, dataset, avg_reports.max(1.0))?;
-        self.recalibrate(&estimate.estimated_means, &model)
-    }
 }
 
 #[cfg(test)]
@@ -264,7 +240,7 @@ mod tests {
 
     #[test]
     fn end_to_end_pipeline_recalibration() {
-        // Full stack: dataset -> LDP pipeline -> HDR4ME via recalibrate_estimate.
+        // Full stack: dataset -> LDP pipeline -> deviation model -> HDR4ME.
         let mut rng = StdRng::seed_from_u64(1234);
         let dataset = GaussianDataset::new(3_000, 60).unwrap().generate(&mut rng);
         let config = PipelineConfig::new(0.5, 60, 42);
@@ -272,8 +248,11 @@ mod tests {
         let estimate = pipeline.run(&dataset).unwrap();
         let naive_mse = estimate.utility().unwrap().mse;
 
+        let avg_reports = estimate.report_counts.iter().sum::<u64>() as f64 / 60.0;
+        let model =
+            DeviationModel::for_dataset(pipeline.mechanism(), &dataset, avg_reports).unwrap();
         let result = Hdr4me::l1()
-            .recalibrate_estimate(&estimate, pipeline.mechanism(), &dataset)
+            .recalibrate(&estimate.estimated_means, &model)
             .unwrap();
         let enhanced_mse = stats::mse(&result.enhanced_means, &estimate.true_means).unwrap();
         assert!(

@@ -189,34 +189,6 @@ impl CategoricalDataset {
             .collect())
     }
 
-    /// Histogram-encode dimension `j` into a numeric [`Dataset`] with
-    /// `categories[j]` columns of `{0.0, 1.0}` entries (one row per user).
-    ///
-    /// The column means of the encoded dataset are exactly the true
-    /// frequencies, which is what reduces frequency estimation to the paper's
-    /// mean-estimation problem.
-    ///
-    /// # Errors
-    /// Returns [`DataError::IndexOutOfBounds`] when `j` is invalid.
-    pub fn encode_dimension(&self, j: usize) -> crate::Result<Dataset> {
-        let Some(&cats) = self.categories.get(j) else {
-            return Err(DataError::IndexOutOfBounds {
-                what: "column",
-                index: j,
-                len: self.dims(),
-            });
-        };
-        let mut values = vec![0.0; self.users * cats];
-        for (row, src) in values.chunks_mut(cats).zip(self.values.chunks(self.dims())) {
-            if let Some(&c) = src.get(j) {
-                if let Some(slot) = row.get_mut(c) {
-                    *slot = 1.0;
-                }
-            }
-        }
-        Dataset::from_rows(self.users, cats, values)
-    }
-
     /// Histogram-encode *all* dimensions into one wide numeric dataset with
     /// `Σ_j categories[j]` columns, along with the per-dimension column offsets.
     #[expect(
@@ -280,21 +252,6 @@ mod tests {
         let f1 = d.true_frequencies(1).unwrap();
         assert_eq!(f1, vec![0.25, 0.25, 0.5]);
         assert!(d.true_frequencies(2).is_err());
-    }
-
-    #[test]
-    fn encode_dimension_means_equal_frequencies() {
-        let d = small();
-        let encoded = d.encode_dimension(1).unwrap();
-        assert_eq!(encoded.users(), 4);
-        assert_eq!(encoded.dims(), 3);
-        assert_eq!(encoded.true_means(), d.true_frequencies(1).unwrap());
-        // Each row is a valid one-hot vector.
-        for i in 0..encoded.users() {
-            let row = encoded.row(i).unwrap();
-            assert_eq!(row.iter().sum::<f64>(), 1.0);
-            assert!(row.iter().all(|&x| x == 0.0 || x == 1.0));
-        }
     }
 
     #[test]

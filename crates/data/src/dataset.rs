@@ -227,21 +227,6 @@ impl Dataset {
         Self::from_rows(self.users, columns.len(), values)
     }
 
-    /// Build a new dataset keeping only the first `rows` users.
-    ///
-    /// # Errors
-    /// Returns [`DataError::InvalidShape`] when `rows` is zero or exceeds the
-    /// number of users.
-    pub fn take_users(&self, rows: usize) -> crate::Result<Self> {
-        if rows == 0 || rows > self.users {
-            return Err(DataError::InvalidShape {
-                reason: format!("cannot take {rows} users from a dataset of {}", self.users),
-            });
-        }
-        let taken = self.values.iter().take(rows * self.dims).copied().collect();
-        Self::from_rows(rows, self.dims, taken)
-    }
-
     /// Compute per-column bucketing profiles (min, max, per-bucket counts) for
     /// every column in one blocked sweep over the row-major buffer.
     ///
@@ -607,15 +592,5 @@ mod tests {
         let b = small();
         a.column_profiles(8).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn take_users_truncates() {
-        let d = small();
-        let t = d.take_users(2).unwrap();
-        assert_eq!(t.users(), 2);
-        assert_eq!(t.row(1).unwrap(), &[0.5, -1.0]);
-        assert!(d.take_users(0).is_err());
-        assert!(d.take_users(4).is_err());
     }
 }

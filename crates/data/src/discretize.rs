@@ -90,37 +90,6 @@ impl DiscreteValueDistribution {
         Self::uniform_over(values).expect("static construction is valid")
     }
 
-    /// Build the exact empirical distribution of a data column.
-    ///
-    /// Values are matched exactly after rounding to 12 decimal digits (to fold
-    /// floating-point noise); use [`DiscreteValueDistribution::from_column_bucketed`]
-    /// for continuous data.
-    ///
-    /// # Errors
-    /// Returns [`DataError::InvalidShape`] when the column is empty.
-    pub fn from_column_exact(column: &[f64]) -> crate::Result<Self> {
-        if column.is_empty() {
-            return Err(DataError::InvalidShape {
-                reason: "empty column".into(),
-            });
-        }
-        let mut counts: std::collections::BTreeMap<i64, (f64, usize)> =
-            std::collections::BTreeMap::new();
-        for &x in column {
-            // Key on a fixed-point representation to merge float noise.
-            let key = (x * 1e12).round() as i64;
-            let entry = counts.entry(key).or_insert((x, 0));
-            entry.1 += 1;
-        }
-        let n = column.len() as f64;
-        let (values, probabilities): (Vec<f64>, Vec<f64>) =
-            counts.values().map(|&(v, c)| (v, c as f64 / n)).unzip();
-        // Renormalize to absorb the tiny rounding drift of the division.
-        let total: f64 = probabilities.iter().sum();
-        let probabilities = probabilities.iter().map(|p| p / total).collect();
-        Self::new(values, probabilities)
-    }
-
     /// Bucket a continuous column into `buckets` equal-width bins over its
     /// observed range, using each bin's midpoint as the representative value.
     ///
@@ -258,18 +227,6 @@ mod tests {
     }
 
     #[test]
-    fn exact_column_distribution_counts_duplicates() {
-        let col = [0.5, 0.5, -0.5, 1.0];
-        let d = DiscreteValueDistribution::from_column_exact(&col).unwrap();
-        assert_eq!(d.support_size(), 3);
-        // Probabilities: -0.5 -> 0.25, 0.5 -> 0.5, 1.0 -> 0.25 (sorted by value).
-        assert_eq!(d.values(), &[-0.5, 0.5, 1.0]);
-        assert_eq!(d.probabilities(), &[0.25, 0.5, 0.25]);
-        assert!((d.mean() - 0.375).abs() < 1e-12);
-        assert!(DiscreteValueDistribution::from_column_exact(&[]).is_err());
-    }
-
-    #[test]
     fn bucketed_distribution_approximates_mean() {
         let col: Vec<f64> = (0..1000).map(|i| -1.0 + 2.0 * i as f64 / 999.0).collect();
         let d = DiscreteValueDistribution::from_column_bucketed(&col, 20).unwrap();
@@ -324,18 +281,6 @@ mod tests {
         use proptest::prelude::*;
 
         proptest! {
-            #[test]
-            fn exact_distribution_is_normalized(
-                col in proptest::collection::vec(-1.0f64..1.0, 1..200),
-            ) {
-                let d = DiscreteValueDistribution::from_column_exact(&col).unwrap();
-                let total: f64 = d.probabilities().iter().sum();
-                prop_assert!((total - 1.0).abs() < 1e-9);
-                // Mean of the distribution equals the column mean.
-                let col_mean: f64 = col.iter().sum::<f64>() / col.len() as f64;
-                prop_assert!((d.mean() - col_mean).abs() < 1e-9);
-            }
-
             #[test]
             fn bucketed_mean_close_to_column_mean(
                 col in proptest::collection::vec(-1.0f64..1.0, 10..300),

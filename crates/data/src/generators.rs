@@ -216,28 +216,6 @@ impl UniformDataset {
             .collect();
         Dataset::from_rows(self.users, self.dims, values).expect("shape is valid")
     }
-
-    /// Generate a *discretized* uniform dataset whose values are drawn from
-    /// the paper's case-study support `{0.1, 0.2, …, 1.0}` with equal
-    /// probability (used by Figure 3).
-    #[expect(
-        clippy::expect_used,
-        reason = "the iterator yields users * dims values"
-    )]
-    pub fn generate_case_study<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
-        let support: Vec<f64> = (1..=10).map(|k| k as f64 / 10.0).collect();
-        let values: Vec<f64> = (0..self.users * self.dims)
-            // gen_range(0..len) is always a valid index; the fallback keeps
-            // the closure total without a panic path.
-            .map(|_| {
-                support
-                    .get(rng.gen_range(0..support.len()))
-                    .copied()
-                    .unwrap_or(1.0)
-            })
-            .collect();
-        Dataset::from_rows(self.users, self.dims, values).expect("shape is valid")
-    }
 }
 
 /// Synthetic correlated dataset standing in for the paper's COV-19 table.
@@ -251,12 +229,15 @@ impl UniformDataset {
 pub struct CorrelatedDataset {
     users: usize,
     dims: usize,
-    latent_dims: usize,
     noise_std: f64,
 }
 
 impl CorrelatedDataset {
-    /// Create a generator with `latent_dims = 8` and noise σ = 0.05.
+    /// Number of latent factors `k`.
+    const LATENT_DIMS: usize = 8;
+
+    /// Create a generator with `LATENT_DIMS = 8` latent factors and noise
+    /// σ = 0.05.
     ///
     /// # Errors
     /// Returns [`DataError::InvalidShape`] for a zero-sized shape.
@@ -265,24 +246,8 @@ impl CorrelatedDataset {
         Ok(Self {
             users,
             dims,
-            latent_dims: 8,
             noise_std: 0.05,
         })
-    }
-
-    /// Override the number of latent factors.
-    ///
-    /// # Errors
-    /// Returns [`DataError::InvalidParameter`] when `latent_dims == 0`.
-    pub fn with_latent_dims(mut self, latent_dims: usize) -> crate::Result<Self> {
-        if latent_dims == 0 {
-            return Err(DataError::InvalidParameter {
-                name: "latent_dims",
-                reason: "must be positive".into(),
-            });
-        }
-        self.latent_dims = latent_dims;
-        Ok(self)
     }
 
     /// Generate the dataset (rescaled column-wise into `[-1, 1]`).
@@ -294,7 +259,7 @@ impl CorrelatedDataset {
         let std_normal = Normal::STANDARD;
         // Loading matrix W: d x k, entries ~ N(0, 1), plus a per-column offset so
         // column means differ (like real survey/count data).
-        let loadings: Vec<f64> = (0..self.dims * self.latent_dims)
+        let loadings: Vec<f64> = (0..self.dims * Self::LATENT_DIMS)
             .map(|_| std_normal.sample(rng))
             .collect();
         let offsets: Vec<f64> = (0..self.dims).map(|_| rng.gen_range(-0.5..0.5)).collect();
@@ -302,10 +267,10 @@ impl CorrelatedDataset {
 
         let mut values = Vec::with_capacity(self.users * self.dims);
         for _ in 0..self.users {
-            let z: Vec<f64> = (0..self.latent_dims)
+            let z: Vec<f64> = (0..Self::LATENT_DIMS)
                 .map(|_| std_normal.sample(rng))
                 .collect();
-            for (row, &off) in loadings.chunks(self.latent_dims).zip(&offsets) {
+            for (row, &off) in loadings.chunks(Self::LATENT_DIMS).zip(&offsets) {
                 let mut x = off;
                 for (w, zi) in row.iter().zip(&z) {
                     x += w * zi;
@@ -367,10 +332,6 @@ mod tests {
             .unwrap()
             .with_std_dev(0.0)
             .is_err());
-        assert!(CorrelatedDataset::new(10, 10)
-            .unwrap()
-            .with_latent_dims(0)
-            .is_err());
     }
 
     #[test]
@@ -412,22 +373,8 @@ mod tests {
     }
 
     #[test]
-    fn case_study_uniform_uses_discrete_support() {
-        let data = UniformDataset::new(1000, 3)
-            .unwrap()
-            .generate_case_study(&mut rng());
-        for &v in data.as_slice() {
-            let scaled = v * 10.0;
-            assert!((scaled - scaled.round()).abs() < 1e-9);
-            assert!((0.1..=1.0).contains(&v));
-        }
-    }
-
-    #[test]
     fn correlated_dataset_has_high_cross_dimension_correlation() {
         let data = CorrelatedDataset::new(3000, 12)
-            .unwrap()
-            .with_latent_dims(2)
             .unwrap()
             .generate(&mut rng());
         assert!(data.all_within(-1.0, 1.0));

@@ -82,33 +82,6 @@ impl Normalizer {
         }
         Dataset::from_rows(data.users(), data.dims(), values)
     }
-
-    /// Map a vector of per-column values (e.g. an estimated mean) back to the
-    /// original units.
-    ///
-    /// # Errors
-    /// Returns [`DataError::LengthMismatch`] when the vector length does not
-    /// match the number of fitted columns.
-    pub fn inverse_transform_vector(&self, values: &[f64]) -> crate::Result<Vec<f64>> {
-        if values.len() != self.ranges.len() {
-            return Err(DataError::LengthMismatch {
-                expected: self.ranges.len(),
-                actual: values.len(),
-            });
-        }
-        let (lo, hi) = self.target;
-        Ok(values
-            .iter()
-            .zip(&self.ranges)
-            .map(|(&y, &(cmin, cmax))| {
-                if cmax > cmin {
-                    cmin + (y - lo) / (hi - lo) * (cmax - cmin)
-                } else {
-                    cmin
-                }
-            })
-            .collect())
-    }
 }
 
 /// Convenience: fit and apply a `[-1, 1]` normalization in one call.
@@ -157,19 +130,6 @@ mod tests {
         let d = Dataset::from_rows(2, 2, vec![3.0, 1.0, 3.0, 2.0]).unwrap();
         let (t, _) = normalize_symmetric(&d).unwrap();
         assert_eq!(t.column(0).unwrap(), vec![0.0, 0.0]);
-    }
-
-    #[test]
-    fn inverse_transform_round_trips_means() {
-        let d = raw();
-        let (t, norm) = normalize_symmetric(&d).unwrap();
-        let normalized_means = t.true_means();
-        let back = norm.inverse_transform_vector(&normalized_means).unwrap();
-        let original_means = d.true_means();
-        for (a, b) in back.iter().zip(&original_means) {
-            assert!((a - b).abs() < 1e-12, "{a} vs {b}");
-        }
-        assert!(norm.inverse_transform_vector(&[0.0]).is_err());
     }
 
     #[test]

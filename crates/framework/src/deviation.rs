@@ -156,11 +156,6 @@ impl DeviationApproximation {
         self.normal().prob_in_interval(-xi, xi)
     }
 
-    /// Probability that the deviation exceeds the symmetric supremum.
-    pub fn prob_exceeds(&self, xi: f64) -> f64 {
-        1.0 - self.prob_within(xi)
-    }
-
     /// A practical "supremum" of the deviation: `|δ_j| + z·σ_j`.
     ///
     /// The theoretical supremum of a Gaussian is unbounded; the paper lets the
@@ -258,7 +253,6 @@ mod tests {
         assert_eq!(dev.prob_within(-1.0), 0.0);
         assert!(dev.prob_within(0.05) < dev.prob_within(0.2));
         assert!((dev.prob_within(100.0) - 1.0).abs() < 1e-9);
-        assert!((dev.prob_within(0.1) + dev.prob_exceeds(0.1) - 1.0).abs() < 1e-12);
         // Symmetric zero-mean Gaussian: within one sigma ≈ 68.3%.
         assert!((dev.prob_within(dev.std_dev()) - 0.6827).abs() < 1e-3);
     }

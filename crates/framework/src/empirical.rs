@@ -92,15 +92,6 @@ impl EmpiricalFit {
             total_variation: 0.5 * tv,
         })
     }
-
-    /// A loose acceptance test: the empirical mean is within `max_mean_z`
-    /// standard errors, the standard deviation within `max_std_rel` relative
-    /// error, and the total-variation distance below `max_tv`.
-    pub fn is_consistent(&self, max_mean_z: f64, max_std_rel: f64, max_tv: f64) -> bool {
-        self.mean_z_score.abs() <= max_mean_z
-            && self.std_relative_error.abs() <= max_std_rel
-            && self.total_variation <= max_tv
-    }
 }
 
 #[cfg(test)]
@@ -132,7 +123,6 @@ mod tests {
         assert!(fit.mean_z_score.abs() < 3.5, "{fit:?}");
         assert!(fit.std_relative_error.abs() < 0.05, "{fit:?}");
         assert!(fit.total_variation < 0.08, "{fit:?}");
-        assert!(fit.is_consistent(4.0, 0.1, 0.1));
         assert_eq!(fit.samples, 5_000);
     }
 
@@ -145,7 +135,6 @@ mod tests {
         let samples = wrong.sample_n(&mut rng, 2_000);
         let fit = EmpiricalFit::evaluate(&a, &samples, 30).unwrap();
         assert!(fit.mean_z_score.abs() > 10.0);
-        assert!(!fit.is_consistent(4.0, 0.1, 0.2));
     }
 
     #[test]

@@ -91,15 +91,6 @@ impl ErfCache {
         value
     }
 
-    /// The standard normal CDF `Φ(z) = (1 + erf(z/√2))/2`, memoised through
-    /// the same table. The caller passes the *already scaled* erf argument
-    /// `z/√2` so that repeated (mean, sigma, bound) triples collapse onto the
-    /// same key.
-    #[inline]
-    pub fn phi_from_scaled(&mut self, scaled: f64) -> f64 {
-        0.5 * (1.0 + self.erf(scaled))
-    }
-
     /// Number of lookups answered from the table.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -153,15 +144,6 @@ mod tests {
             let x = (i as f64) * 1e-3 - 2.0;
             assert_eq!(cache.erf(x).to_bits(), erf(x).to_bits());
         }
-    }
-
-    #[test]
-    fn phi_matches_normal_cdf_formula() {
-        let mut cache = ErfCache::new();
-        let z = 1.3f64;
-        let direct = 0.5 * (1.0 + erf(z / std::f64::consts::SQRT_2));
-        let cached = cache.phi_from_scaled(z / std::f64::consts::SQRT_2);
-        assert_eq!(cached.to_bits(), direct.to_bits());
     }
 
     #[test]

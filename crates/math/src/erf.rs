@@ -104,11 +104,6 @@ pub fn inverse_erf(p: f64) -> f64 {
     x
 }
 
-/// Inverse complementary error function: returns `x` such that `erfc(x) = p`.
-pub fn inverse_erfc(p: f64) -> f64 {
-    inverse_erf(1.0 - p)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,14 +182,6 @@ mod tests {
         assert!(inverse_erf(1.5).is_nan());
         assert!(inverse_erf(f64::NAN).is_nan());
         assert_eq!(inverse_erf(0.0), 0.0);
-    }
-
-    #[test]
-    fn inverse_erfc_round_trips() {
-        for &p in &[0.05, 0.2, 0.5, 1.0, 1.5, 1.95] {
-            let x = inverse_erfc(p);
-            assert!((erfc(x) - p).abs() < 1e-5, "p = {p}, x = {x}");
-        }
     }
 
     #[test]

@@ -67,7 +67,8 @@ impl Histogram {
     }
 
     /// Record one observation. Values outside `[lo, hi)` are counted in the
-    /// overflow/underflow tallies and excluded from the density.
+    /// overflow/underflow tallies and excluded from the density; a NaN is
+    /// counted as overflow.
     #[expect(
         clippy::indexing_slicing,
         reason = "idx is clamped to counts.len() - 1, and new() rejects zero bins"
@@ -78,7 +79,7 @@ impl Histogram {
             self.below += 1;
             return;
         }
-        if x >= self.hi {
+        if x >= self.hi || x.is_nan() {
             self.above += 1;
             return;
         }
@@ -115,7 +116,8 @@ impl Histogram {
         self.below
     }
 
-    /// Number of observations at or above the upper edge of the range.
+    /// Number of observations at or above the upper edge of the range, or
+    /// NaN.
     pub fn overflow(&self) -> u64 {
         self.above
     }
@@ -199,6 +201,19 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2); // 1.0 is the exclusive upper edge
         assert_eq!(h.counts(), &[1, 0]);
+    }
+
+    #[test]
+    fn nan_is_tallied_as_overflow_and_kept_out_of_the_density() {
+        let mut h = Histogram::new(0.0, 1.0, 4).unwrap();
+        h.push(f64::NAN);
+        assert_eq!(h.counts(), &[0, 0, 0, 0]);
+        assert_eq!(h.overflow(), 1);
+        let mut clean = Histogram::new(0.0, 1.0, 4).unwrap();
+        assert_eq!(h.density(), clean.density());
+        h.extend_from_slice(&[0.1, 0.6, 0.6]);
+        clean.extend_from_slice(&[0.1, 0.6, 0.6]);
+        assert_eq!(h.density(), clean.density());
     }
 
     #[test]

@@ -44,71 +44,6 @@ pub fn simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, n: usize) -> crate::Resu
     Ok(sum * h / 3.0)
 }
 
-/// Adaptive Simpson integration with an absolute error target.
-///
-/// # Errors
-/// Returns [`MathError::InvalidParameter`] for a degenerate interval or a
-/// non-positive tolerance.
-pub fn adaptive_simpson<F: Fn(f64) -> f64>(f: F, a: f64, b: f64, tol: f64) -> crate::Result<f64> {
-    if !(a.is_finite() && b.is_finite()) || a > b {
-        return Err(MathError::InvalidParameter {
-            name: "interval",
-            reason: format!("require finite a <= b, got [{a}, {b}]"),
-        });
-    }
-    if !(tol.is_finite() && tol > 0.0) {
-        return Err(MathError::InvalidParameter {
-            name: "tol",
-            reason: format!("must be positive, got {tol}"),
-        });
-    }
-    if a == b {
-        return Ok(0.0);
-    }
-
-    fn simpson_segment<F: Fn(f64) -> f64>(f: &F, a: f64, b: f64) -> (f64, f64, f64, f64) {
-        let m = 0.5 * (a + b);
-        let fa = f(a);
-        let fm = f(m);
-        let fb = f(b);
-        ((b - a) / 6.0 * (fa + 4.0 * fm + fb), fa, fm, fb)
-    }
-
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "the Simpson recursion carries both endpoints and three samples"
-    )]
-    fn recurse<F: Fn(f64) -> f64>(
-        f: &F,
-        a: f64,
-        b: f64,
-        whole: f64,
-        fa: f64,
-        fm: f64,
-        fb: f64,
-        tol: f64,
-        depth: usize,
-    ) -> f64 {
-        let m = 0.5 * (a + b);
-        let lm = 0.5 * (a + m);
-        let rm = 0.5 * (m + b);
-        let flm = f(lm);
-        let frm = f(rm);
-        let left = (m - a) / 6.0 * (fa + 4.0 * flm + fm);
-        let right = (b - m) / 6.0 * (fm + 4.0 * frm + fb);
-        let delta = left + right - whole;
-        if depth == 0 || delta.abs() <= 15.0 * tol {
-            left + right + delta / 15.0
-        } else {
-            recurse(f, a, m, left, fa, flm, fm, 0.5 * tol, depth - 1)
-                + recurse(f, m, b, right, fm, frm, fb, 0.5 * tol, depth - 1)
-        }
-    }
-
-    let (whole, fa, fm, fb) = simpson_segment(&f, a, b);
-    Ok(recurse(&f, a, b, whole, fa, fm, fb, tol, 50))
-}
-
 /// Nodes and weights of the 20-point Gauss–Legendre rule on `[-1, 1]`.
 ///
 /// Twenty points integrate polynomials up to degree 39 exactly, which is far
@@ -217,19 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_simpson_meets_tolerance_on_oscillatory_integrand() {
-        let got = adaptive_simpson(|x| (10.0 * x).sin(), 0.0, 1.0, 1e-10).unwrap();
-        let want = (1.0 - (10.0f64).cos()) / 10.0;
-        assert!((got - want).abs() < 1e-8, "got {got}, want {want}");
-    }
-
-    #[test]
-    fn adaptive_simpson_rejects_bad_tolerance() {
-        assert!(adaptive_simpson(|x| x, 0.0, 1.0, 0.0).is_err());
-        assert!(adaptive_simpson(|x| x, 0.0, 1.0, -1.0).is_err());
-    }
-
-    #[test]
     fn gauss_legendre_matches_simpson_on_gaussian_pdf() {
         let pdf = |x: f64| (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
         let a = gauss_legendre(pdf, -3.0, 3.0).unwrap();
@@ -252,9 +174,7 @@ mod tests {
     fn all_rules_agree_on_smooth_integrand() {
         let f = |x: f64| (x * x + 1.0).ln();
         let s = simpson(f, 0.0, 2.0, 4_000).unwrap();
-        let a = adaptive_simpson(f, 0.0, 2.0, 1e-12).unwrap();
         let g = gauss_legendre_composite(f, 0.0, 2.0, 4).unwrap();
-        assert!((s - a).abs() < 1e-9);
         assert!((s - g).abs() < 1e-9);
     }
 
@@ -275,9 +195,9 @@ mod tests {
             #[test]
             fn interval_additivity(a in -4.0f64..-1.0, m in -1.0f64..1.0, b in 1.0f64..4.0) {
                 let f = |x: f64| (x.sin() + 2.0).sqrt();
-                let whole = adaptive_simpson(f, a, b, 1e-11).unwrap();
-                let split = adaptive_simpson(f, a, m, 1e-11).unwrap()
-                    + adaptive_simpson(f, m, b, 1e-11).unwrap();
+                let whole = gauss_legendre_composite(f, a, b, 16).unwrap();
+                let split = gauss_legendre_composite(f, a, m, 16).unwrap()
+                    + gauss_legendre_composite(f, m, b, 16).unwrap();
                 prop_assert!((whole - split).abs() < 1e-8);
             }
         }

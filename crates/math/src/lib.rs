@@ -13,15 +13,15 @@
 //!   box-probability passes.
 //! * [`normal`] — the Gaussian distribution (pdf, cdf, quantile, sampling).
 //! * [`laplace`] — the Laplace distribution (pdf, cdf, quantile, sampling).
-//! * [`integrate`] — one-dimensional numerical integration (Simpson, adaptive
-//!   Simpson, Gauss–Legendre) used for mechanism moments and the Theorem 1
+//! * [`integrate`] — one-dimensional numerical integration (Simpson,
+//!   Gauss–Legendre) used for mechanism moments and the Theorem 1
 //!   box-probability computation.
 //! * [`stats`] — descriptive statistics and the utility metrics of the paper
 //!   (MSE, L2 deviation, maximum absolute error).
 //! * [`moments`] — single-pass Welford accumulators for streaming mean/variance.
 //! * [`histogram`] — fixed-bin empirical densities used to compare simulated
 //!   deviations against the CLT predictions (Figures 2 and 3).
-//! * [`vector`] — small dense-vector helpers (norms, Hadamard product).
+//! * [`vector`] — small dense-vector helpers (norms, differences).
 //! * [`quantile`] — order statistics on slices.
 
 pub mod cache;

@@ -1,9 +1,9 @@
 //! Streaming (single-pass) moment accumulation via Welford's algorithm.
 //!
-//! The aggregator in the collection protocol receives reports one at a time
-//! per dimension; Welford accumulation lets it maintain numerically stable
-//! running means and variances without storing every report, which matters at
-//! paper scale (200,000 users × 5,000 dimensions in Figure 2).
+//! Welford accumulation maintains numerically stable running means and
+//! variances without storing the samples. The mechanisms' Monte Carlo checks
+//! use it, and the sharded-ingest tests use it as an order-independent
+//! oracle for the collector's means.
 
 /// Numerically stable running mean / variance / extrema accumulator.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]

@@ -64,14 +64,6 @@ pub fn median(xs: &[f64]) -> crate::Result<f64> {
     quantile(xs, 0.5)
 }
 
-/// Interquartile range `Q3 − Q1`.
-///
-/// # Errors
-/// Same conditions as [`quantile`].
-pub fn iqr(xs: &[f64]) -> crate::Result<f64> {
-    Ok(quantile(xs, 0.75)? - quantile(xs, 0.25)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -104,13 +96,6 @@ mod tests {
         assert!(quantile(&[1.0], 1.1).is_err());
         assert!(quantile(&[1.0, f64::NAN], 0.5).is_err());
         assert!(median(&[]).is_err());
-        assert!(iqr(&[]).is_err());
-    }
-
-    #[test]
-    fn iqr_of_uniform_grid() {
-        let xs: Vec<f64> = (0..101).map(|i| i as f64).collect();
-        assert!((iqr(&xs).unwrap() - 50.0).abs() < 1e-12);
     }
 
     mod property {

@@ -1,7 +1,7 @@
 //! Small dense-vector helpers.
 //!
 //! HDR4ME works with `d`-dimensional mean vectors; the re-calibration solvers
-//! need L1/L2 norms and the Hadamard product `λ* ∘ θ` from Equation 23.
+//! need L1/L2 norms and element-wise differences.
 
 use crate::MathError;
 
@@ -13,25 +13,6 @@ pub fn l1_norm(xs: &[f64]) -> f64 {
 /// L2 (Euclidean) norm `sqrt(Σ x_i²)`.
 pub fn l2_norm(xs: &[f64]) -> f64 {
     xs.iter().map(|x| x * x).sum::<f64>().sqrt()
-}
-
-/// Infinity norm `max |x_i|`; `0.0` for an empty slice.
-pub fn linf_norm(xs: &[f64]) -> f64 {
-    xs.iter().map(|x| x.abs()).fold(0.0, f64::max)
-}
-
-/// Element-wise (Hadamard) product `a ∘ b`.
-///
-/// # Errors
-/// Returns [`MathError::LengthMismatch`] when the slices differ in length.
-pub fn hadamard(a: &[f64], b: &[f64]) -> crate::Result<Vec<f64>> {
-    if a.len() != b.len() {
-        return Err(MathError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    Ok(a.iter().zip(b).map(|(x, y)| x * y).collect())
 }
 
 /// Element-wise difference `a − b`.
@@ -48,33 +29,6 @@ pub fn sub(a: &[f64], b: &[f64]) -> crate::Result<Vec<f64>> {
     Ok(a.iter().zip(b).map(|(x, y)| x - y).collect())
 }
 
-/// Dot product `Σ a_i b_i`.
-///
-/// # Errors
-/// Returns [`MathError::LengthMismatch`] when the slices differ in length.
-pub fn dot(a: &[f64], b: &[f64]) -> crate::Result<f64> {
-    if a.len() != b.len() {
-        return Err(MathError::LengthMismatch {
-            left: a.len(),
-            right: b.len(),
-        });
-    }
-    Ok(a.iter().zip(b).map(|(x, y)| x * y).sum())
-}
-
-/// Clamp every element into `[lo, hi]`.
-pub fn clamp_all(xs: &mut [f64], lo: f64, hi: f64) {
-    for x in xs {
-        *x = x.clamp(lo, hi);
-    }
-}
-
-/// Count the non-zero entries (useful to measure the sparsity induced by
-/// HDR4ME's L1 soft-thresholding).
-pub fn count_nonzero(xs: &[f64]) -> usize {
-    xs.iter().filter(|x| **x != 0.0).count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,35 +38,20 @@ mod tests {
         let v = [3.0, -4.0];
         assert_eq!(l1_norm(&v), 7.0);
         assert_eq!(l2_norm(&v), 5.0);
-        assert_eq!(linf_norm(&v), 4.0);
         assert_eq!(l1_norm(&[]), 0.0);
         assert_eq!(l2_norm(&[]), 0.0);
-        assert_eq!(linf_norm(&[]), 0.0);
     }
 
     #[test]
-    fn hadamard_and_sub_and_dot() {
+    fn sub_is_the_elementwise_difference() {
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
-        assert_eq!(hadamard(&a, &b).unwrap(), vec![4.0, 10.0, 18.0]);
         assert_eq!(sub(&a, &b).unwrap(), vec![-3.0, -3.0, -3.0]);
-        assert_eq!(dot(&a, &b).unwrap(), 32.0);
     }
 
     #[test]
     fn length_mismatch_errors() {
-        assert!(hadamard(&[1.0], &[1.0, 2.0]).is_err());
         assert!(sub(&[1.0], &[]).is_err());
-        assert!(dot(&[1.0, 2.0], &[1.0]).is_err());
-    }
-
-    #[test]
-    fn clamp_and_count_nonzero() {
-        let mut v = vec![-2.0, -0.5, 0.0, 0.5, 2.0];
-        clamp_all(&mut v, -1.0, 1.0);
-        assert_eq!(v, vec![-1.0, -0.5, 0.0, 0.5, 1.0]);
-        assert_eq!(count_nonzero(&v), 4);
-        assert_eq!(count_nonzero(&[0.0, 0.0]), 0);
     }
 
     mod property {
@@ -141,14 +80,13 @@ mod tests {
                 )),
             ) {
                 let (a, b) = pair;
-                let d = dot(&a, &b).unwrap().abs();
+                let d = a.iter().zip(&b).map(|(x, y)| x * y).sum::<f64>().abs();
                 prop_assert!(d <= l2_norm(&a) * l2_norm(&b) + 1e-9);
             }
 
             #[test]
             fn norm_ordering(a in proptest::collection::vec(-10.0f64..10.0, 1..50)) {
-                // ||x||_inf <= ||x||_2 <= ||x||_1
-                prop_assert!(linf_norm(&a) <= l2_norm(&a) + 1e-9);
+                // ||x||_2 <= ||x||_1
                 prop_assert!(l2_norm(&a) <= l1_norm(&a) + 1e-9);
             }
         }

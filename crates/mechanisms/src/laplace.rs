@@ -39,11 +39,6 @@ impl LaplaceMechanism {
         Ok(Self { epsilon, noise })
     }
 
-    /// The scale `λ = 2/ε` of the injected Laplace noise.
-    pub fn noise_scale(&self) -> f64 {
-        self.noise.scale()
-    }
-
     /// The underlying noise distribution (used by the Berry–Esseen example of
     /// Section IV-D, which needs its third absolute moment).
     pub fn noise_distribution(&self) -> Laplace {
@@ -105,7 +100,7 @@ mod tests {
     #[test]
     fn noise_scale_is_two_over_epsilon() {
         let m = LaplaceMechanism::new(0.5).unwrap();
-        assert!((m.noise_scale() - 4.0).abs() < 1e-12);
+        assert!((m.noise_distribution().scale() - 4.0).abs() < 1e-12);
         assert!((m.variance(0.3) - 32.0).abs() < 1e-12); // 2 * 4^2
     }
 

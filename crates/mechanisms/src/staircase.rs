@@ -172,16 +172,6 @@ impl StaircaseMechanism {
         })
     }
 
-    /// Create a Staircase mechanism with an explicit shape parameter.
-    ///
-    /// # Errors
-    /// Same conditions as [`StaircaseNoise::new`].
-    pub fn with_gamma(epsilon: f64, gamma: f64) -> crate::Result<Self> {
-        Ok(Self {
-            noise: StaircaseNoise::new(epsilon, Self::SENSITIVITY, gamma)?,
-        })
-    }
-
     /// The underlying noise distribution.
     pub fn noise(&self) -> &StaircaseNoise {
         &self.noise
@@ -245,7 +235,6 @@ mod tests {
         assert!(StaircaseNoise::new(1.0, 2.0, 1.5).is_err());
         assert!(StaircaseMechanism::new(1.0).is_ok());
         assert!(StaircaseMechanism::new(-1.0).is_err());
-        assert!(StaircaseMechanism::with_gamma(1.0, 2.0).is_err());
     }
 
     #[test]

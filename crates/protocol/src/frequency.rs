@@ -9,9 +9,8 @@
 //! `d` high-dimensional mean-estimation problems, to which both the analytical
 //! framework and HDR4ME apply unchanged.
 
-use crate::{BudgetSplit, ProtocolError};
+use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::CategoricalDataset;
-use hdldp_math::RunningMoments;
 use hdldp_mechanisms::{
     DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
     PiecewiseMechanism, Rescaled, ScdfMechanism, SquareWaveMechanism, StaircaseMechanism,
@@ -19,7 +18,6 @@ use hdldp_mechanisms::{
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 /// Configuration of a frequency-estimation run (same fields as the numeric
 /// pipeline; re-exported type alias for clarity at call sites).
@@ -152,10 +150,16 @@ impl FrequencyPipeline {
 
     /// Run the full collection over a categorical dataset.
     ///
+    /// The one-hot entries of every dimension share one [`IngestEngine`]
+    /// over a flat `(dimension, category)` index: dimension `j` owns entries
+    /// `offsets[j]..offsets[j + 1]`, so the engine's merged means are the
+    /// category frequencies, and a report's `v_j` entries all count towards
+    /// the `r_j` read at `offsets[j]`.
+    ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when `m` exceeds the number of
-    /// categorical dimensions and [`ProtocolError::EmptyDimension`] when a
-    /// dimension received no reports.
+    /// categorical dimensions and [`ProtocolError::EmptyDimension`], naming
+    /// the categorical dimension, when a dimension received no reports.
     pub fn run(&self, data: &CategoricalDataset) -> crate::Result<FrequencyEstimate> {
         let dims = data.dims();
         let m = self.config.reported_dims;
@@ -165,82 +169,55 @@ impl FrequencyPipeline {
                 reason: format!("cannot report {m} of {dims} categorical dimensions"),
             });
         }
-        let users = data.users();
-        let seed = self.config.seed;
-        let categories = data.categories().to_vec();
-
-        // Per-dimension, per-category accumulators plus per-dimension report counts.
-        #[derive(Clone)]
-        struct Shard {
-            freq: Vec<Vec<RunningMoments>>,
-            counts: Vec<u64>,
-        }
-        let empty = Shard {
-            freq: categories
-                .iter()
-                .map(|&c| vec![RunningMoments::new(); c])
-                .collect(),
-            counts: vec![0; dims],
-        };
-
-        let shards = rayon::current_num_threads().max(1);
-        let chunk = users.div_ceil(shards);
-        let partials: Vec<crate::Result<Shard>> = (0..shards)
-            .into_par_iter()
-            .map(|shard_idx| {
-                let mut shard = empty.clone();
-                let lo = shard_idx * chunk;
-                let hi = ((shard_idx + 1) * chunk).min(users);
-                for i in lo..hi {
-                    let user_seed =
-                        seed.wrapping_add((i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-                    let mut rng = StdRng::seed_from_u64(user_seed);
-                    let chosen = sample(&mut rng, dims, m);
-                    #[expect(
-                        clippy::indexing_slicing,
-                        reason = "j < dims; counts and freq hold one entry per dimension, and freq[j] one per category"
-                    )]
-                    for j in chosen {
-                        let value = data.value(i, j).map_err(ProtocolError::from)?;
-                        shard.counts[j] += 1;
-                        for c in 0..categories[j] {
-                            let raw = if c == value { 1.0 } else { 0.0 };
-                            let noisy = self.mechanism.perturb(raw, &mut rng);
-                            shard.freq[j][c].push(noisy);
-                        }
-                    }
-                }
-                Ok(shard)
-            })
+        let offsets: Vec<usize> = std::iter::once(0)
+            .chain(data.categories().iter().scan(0, |end, &c| {
+                *end += c;
+                Some(*end)
+            }))
             .collect();
+        let flat_dims = offsets.last().copied().unwrap_or(0);
 
-        let mut total = empty;
-        for partial in partials {
-            let partial = partial?;
-            for (tj, pj) in total.freq.iter_mut().zip(&partial.freq) {
-                for (tc, pc) in tj.iter_mut().zip(pj) {
-                    tc.merge(pc);
+        let seed = self.config.seed;
+        let mechanism = self.mechanism.as_ref();
+        let mut engine = IngestEngine::new(flat_dims, IngestConfig::per_thread())?;
+        engine.ingest_partitioned(0..data.users() as u64, |user, out| {
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
+            let start = out.len();
+            for j in sample(&mut rng, dims, m) {
+                let value = data.value(user as usize, j).map_err(ProtocolError::from)?;
+                if let Some(&[lo, hi]) = offsets.get(j..j + 2) {
+                    out.extend((lo..hi).map(|e| (e, if e - lo == value { 1.0 } else { 0.0 })));
                 }
             }
-            for (tc, pc) in total.counts.iter_mut().zip(&partial.counts) {
-                *tc += pc;
+            // One call perturbs the report's entries in order, drawing what
+            // one `perturb` per entry would.
+            if let Some(report) = out.get_mut(start..) {
+                mechanism.perturb_entries(report, &mut rng);
             }
-        }
+            Ok(())
+        })?;
 
+        let merged = engine.merged()?;
+        let (sums, counts) = (merged.sums(), merged.counts());
         let mut estimated = Vec::with_capacity(dims);
         let mut true_frequencies = Vec::with_capacity(dims);
-        for (j, (per_category, &count)) in total.freq.iter().zip(&total.counts).enumerate() {
+        let mut report_counts = Vec::with_capacity(dims);
+        for (j, (&lo, &hi)) in offsets.iter().zip(offsets.iter().skip(1)).enumerate() {
+            // Every report of dimension j counts once in each of its entries.
+            let count = counts.get(lo).copied().unwrap_or(0);
             if count == 0 {
                 return Err(ProtocolError::EmptyDimension { dimension: j });
             }
-            estimated.push(per_category.iter().map(|acc| acc.mean()).collect());
+            let column = sums.get(lo..hi).unwrap_or_default();
+            estimated.push(column.iter().map(|sum| sum / count as f64).collect());
             true_frequencies.push(data.true_frequencies(j).map_err(ProtocolError::from)?);
+            report_counts.push(count);
         }
 
         Ok(FrequencyEstimate {
             estimated,
             true_frequencies,
-            report_counts: total.counts,
+            report_counts,
             per_entry_epsilon: self.mechanism.epsilon(),
         })
     }

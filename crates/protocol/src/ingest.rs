@@ -1,9 +1,11 @@
 //! The sharded, batched ingest engine: the collector-side path that scales
 //! the paper's aggregation to millions of users.
 //!
-//! The single-loop [`crate::Aggregator`] is the *reference* implementation of
-//! the calibration + aggregation phase (Section IV-B); this module is the
-//! production-shaped path built on three pieces:
+//! This module is the collector's one aggregation path, the calibration +
+//! aggregation phase of Section IV-B. Mean estimation
+//! ([`crate::MeanEstimationPipeline`]), frequency estimation
+//! ([`crate::FrequencyPipeline`], over a flat `(dimension, category)` index)
+//! and the categorical workloads all run on it. It is built on three pieces:
 //!
 //! * [`ReportBatch`] — a bounded flat buffer of reports (one contiguous
 //!   array of `(usize dimension, f64 perturbed value)` entries, the type
@@ -22,11 +24,13 @@
 //! place at the end of its shard batch's entry buffer and scans only that
 //! tail, so a report is written once and never copied.
 //!
-//! The resulting [`IngestEngine`] produces exactly the same estimated means
-//! as the single loop — per-dimension sums and counts are order-insensitive
-//! up to floating-point rounding, and the integration tests assert
-//! bit-for-bit equality on inputs where addition is exact — while the hot
-//! loop is two indexed adds per entry, shard-local and allocation-free.
+//! Every path drains a full batch into its shard accumulator through one
+//! helper, which also records the flush's telemetry. The resulting
+//! [`IngestEngine`] produces the same estimated means as a single loop over
+//! the reports, up to the floating-point rounding of the summation order
+//! (the integration tests assert bit-for-bit equality on inputs where
+//! addition is exact), while the hot loop is two indexed adds per entry,
+//! shard-local and allocation-free.
 //!
 //! ```
 //! use hdldp_protocol::{IngestConfig, IngestEngine, Report};
@@ -195,14 +199,6 @@ impl ReportBatch {
         }
     }
 
-    /// Append one wire-format [`Report`].
-    ///
-    /// # Errors
-    /// Same conditions as [`ReportBatch::push_entries`].
-    pub fn push_report(&mut self, report: &Report) -> crate::Result<()> {
-        self.push_entries(report.entries())
-    }
-
     /// The flat `(dimension index, value)` entries across all buffered
     /// reports (report boundaries are irrelevant to sum/count accumulation).
     pub fn flat_entries(&self) -> &[(usize, f64)] {
@@ -234,6 +230,26 @@ fn fill_shrank_the_batch() -> ProtocolError {
                  it may only append"
             .into(),
     }
+}
+
+/// Drain `batch` into `acc`, the accumulator of shard `shard`, record the
+/// flush in `metrics` and clear the batch: the one flush of every ingest path.
+///
+/// # Errors
+/// Propagates [`ShardAccumulator::ingest_batch`]'s dimensionality check,
+/// leaving the batch uncleared.
+fn drain(
+    metrics: &IngestMetrics,
+    shard: usize,
+    acc: &mut ShardAccumulator,
+    batch: &mut ReportBatch,
+) -> crate::Result<()> {
+    let timer = metrics.claim_flush();
+    acc.ingest_batch(batch)?;
+    timer.stop();
+    metrics.record_flush(shard, batch.reports(), batch.entries());
+    batch.clear();
+    Ok(())
 }
 
 /// Configuration of an [`IngestEngine`]: shard count and batch capacity.
@@ -429,12 +445,7 @@ impl IngestEngine {
             return Err(e);
         }
         if batch.is_full() {
-            let timer = self.metrics.flush_timer();
-            self.shards[shard].ingest_batch(batch)?;
-            timer.stop();
-            self.metrics
-                .record_flush(shard, batch.reports(), batch.entries());
-            batch.clear();
+            drain(&self.metrics, shard, &mut self.shards[shard], batch)?;
         }
         Ok(())
     }
@@ -453,12 +464,7 @@ impl IngestEngine {
     pub fn flush(&mut self) -> crate::Result<()> {
         for (index, (shard, batch)) in self.shards.iter_mut().zip(&mut self.pending).enumerate() {
             if !batch.is_empty() {
-                let timer = self.metrics.flush_timer();
-                shard.ingest_batch(batch)?;
-                timer.stop();
-                self.metrics
-                    .record_flush(index, batch.reports(), batch.entries());
-                batch.clear();
+                drain(&self.metrics, index, shard, batch)?;
             }
         }
         Ok(())
@@ -512,18 +518,11 @@ impl IngestEngine {
                     }
                     batch.push_with(|entries| fill(user_id, entries))?;
                     if batch.is_full() {
-                        let timer = metrics.flush_timer();
-                        acc.ingest_batch(&batch)?;
-                        timer.stop();
-                        metrics.record_flush(shard, batch.reports(), batch.entries());
-                        batch.clear();
+                        drain(&metrics, shard, &mut acc, &mut batch)?;
                     }
                 }
                 if !batch.is_empty() {
-                    let timer = metrics.flush_timer();
-                    acc.ingest_batch(&batch)?;
-                    timer.stop();
-                    metrics.record_flush(shard, batch.reports(), batch.entries());
+                    drain(&metrics, shard, &mut acc, &mut batch)?;
                 }
                 Ok(acc)
             })
@@ -614,7 +613,7 @@ mod tests {
     fn batch_stores_reports_in_flat_arrays() {
         let mut batch = ReportBatch::new(4, 3).unwrap();
         batch.push_entries(&[(0, 1.0), (3, -1.0)]).unwrap();
-        batch.push_report(&report(&[(1, 0.5)])).unwrap();
+        batch.push_entries(&[(1, 0.5)]).unwrap();
         batch.push_entries(&[]).unwrap();
         assert_eq!(batch.reports(), 3);
         assert_eq!(batch.entries(), 3);

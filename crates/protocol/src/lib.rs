@@ -19,20 +19,19 @@
 //! * [`budget`] — privacy-budget accounting and splitting.
 //! * [`client`] — user-side sampling and perturbation.
 //! * [`report`] — the wire format between users and the collector.
-//! * [`aggregator`] — reference single-loop aggregation into per-dimension
-//!   means (Welford moments; the semantics every scaled path must match).
 //! * [`shard`] — hash-based shard routing and per-shard partial sums/counts.
 //! * [`ingest`] — the sharded, batched ingest engine (bounded report batches
-//!   flowing shard-locally, merge-on-read estimation) that scales the
-//!   aggregation to millions of users.
+//!   flowing shard-locally, merge-on-read estimation): the collector's one
+//!   aggregation path, scaling to millions of users.
 //! * [`pipeline`] — one-call end-to-end mean estimation over a dataset,
-//!   running on the sharded engine.
-//! * [`frequency`] — end-to-end frequency estimation over categorical data.
+//!   running on the sharded engine, and [`user_seed`], the per-user seed
+//!   every collection derives its users' generators from.
+//! * [`frequency`] — end-to-end frequency estimation over categorical data,
+//!   running on the same engine over a flat `(dimension, category)` index.
 //! * [`metrics`] — the paper's utility metrics for a finished run.
 //! * [`telemetry`] — pre-registered runtime-metric bundles (ingest counters,
 //!   phase timers) recording into an [`hdldp_telemetry::Registry`].
 
-pub mod aggregator;
 pub mod budget;
 pub mod client;
 pub mod error;
@@ -44,14 +43,13 @@ pub mod report;
 pub mod shard;
 pub mod telemetry;
 
-pub use aggregator::Aggregator;
 pub use budget::BudgetSplit;
 pub use client::Client;
 pub use error::ProtocolError;
 pub use frequency::{FrequencyEstimate, FrequencyPipeline};
 pub use ingest::{IngestConfig, IngestEngine, ReportBatch};
 pub use metrics::UtilityReport;
-pub use pipeline::{MeanEstimate, MeanEstimationPipeline, PipelineConfig};
+pub use pipeline::{user_seed, MeanEstimate, MeanEstimationPipeline, PipelineConfig};
 pub use report::Report;
 pub use shard::{ShardAccumulator, ShardRouter};
 pub use telemetry::{IngestMetrics, PipelineMetrics};

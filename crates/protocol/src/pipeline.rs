@@ -19,6 +19,14 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
+/// The seed of user `user_id`'s generator in a run seeded with `seed`: the
+/// run seed plus the user's 1-based index times an odd constant (the 64-bit
+/// golden ratio, as in SplitMix64), so consecutive users get decorrelated
+/// streams and a run is a pure function of its seed.
+pub fn user_seed(seed: u64, user_id: u64) -> u64 {
+    seed.wrapping_add(user_id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
+}
+
 /// Configuration of one mean-estimation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PipelineConfig {
@@ -151,10 +159,7 @@ impl MeanEstimationPipeline {
             IngestEngine::with_telemetry(dims, IngestConfig::per_thread(), &self.registry)?;
         let ingest_timer = self.metrics.ingest_ns.start();
         engine.ingest_partitioned(0..dataset.users() as u64, |user, out| {
-            // Deterministic per-user stream: SplitMix-style mixing of the
-            // run seed and the user index.
-            let user_seed = seed.wrapping_add((user + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let mut rng = StdRng::seed_from_u64(user_seed);
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
             let row = dataset.row(user as usize).map_err(ProtocolError::from)?;
             if sample_perturb && user % PERTURB_SAMPLE_EVERY == 0 {
                 let started = Instant::now();

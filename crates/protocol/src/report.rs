@@ -33,11 +33,6 @@ impl Report {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// The largest dimension index mentioned in the report, if any.
-    pub fn max_dimension(&self) -> Option<usize> {
-        self.entries.iter().map(|(d, _)| *d).max()
-    }
 }
 
 /// Check one report's `(dimension, value)` entries against a `dims`-dimension
@@ -99,7 +94,6 @@ mod tests {
         let r = Report::new(vec![(3, 0.5), (1, -0.2)]);
         assert_eq!(r.len(), 2);
         assert!(!r.is_empty());
-        assert_eq!(r.max_dimension(), Some(3));
         assert_eq!(r.entries()[1], (1, -0.2));
     }
 
@@ -108,7 +102,6 @@ mod tests {
         let r = Report::new(vec![]);
         assert!(r.is_empty());
         assert_eq!(r.len(), 0);
-        assert_eq!(r.max_dimension(), None);
     }
 
     #[test]

@@ -83,9 +83,8 @@ impl DimPartial {
 
 /// One shard's partial aggregation state: per-dimension sums and counts.
 ///
-/// Unlike [`crate::Aggregator`] (which maintains Welford running moments for
-/// diagnostics), a shard accumulator stores only what the naive estimator
-/// needs — `Σ t*_ij` and `r_j` per dimension — in one flat array of
+/// A shard accumulator stores only what the naive estimator needs —
+/// `Σ t*_ij` and `r_j` per dimension — in one flat array of
 /// sum/count pairs, so the accumulate loop is one indexed read-modify-write
 /// per entry with no per-report allocation. Partial accumulators from
 /// different shards [`merge`] exactly: per-dimension sums and counts add

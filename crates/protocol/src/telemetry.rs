@@ -35,10 +35,12 @@ use hdldp_telemetry::{Counter, LatencyHistogram, Registry, SpanTimer};
 pub const PERTURB_SAMPLE_EVERY: u64 = 64;
 
 /// How often [`IngestMetrics::flush_ns`] samples a batch drain's latency:
-/// counters advance on every flush, but only every `FLUSH_SAMPLE_EVERY`-th
-/// flush reads the clock. Clock reads dominate the per-flush recording cost
-/// on hosts with a slow time source, so the latency distribution is sampled
-/// while the counts stay exact.
+/// counters advance on every flush, but only the flushes whose ordinal in
+/// `ingest_batch_flushes_total` (counting from 0) is a multiple of
+/// `FLUSH_SAMPLE_EVERY` read the clock, so `n` flushes record exactly
+/// `⌈n / FLUSH_SAMPLE_EVERY⌉` latencies on any number of threads. Clock reads
+/// dominate the per-flush recording cost on hosts with a slow time source, so
+/// the latency distribution is sampled while the counts stay exact.
 pub const FLUSH_SAMPLE_EVERY: u64 = 8;
 
 /// Pre-registered handles for the sharded ingest engine.
@@ -83,29 +85,27 @@ impl IngestMetrics {
         }
     }
 
-    /// A span timer for the next batch drain: live on every
-    /// [`FLUSH_SAMPLE_EVERY`]-th flush, inert otherwise — and always inert
-    /// when telemetry is disabled, without reading the clock or the counter.
+    /// Claim the next batch drain: count it in `ingest_batch_flushes_total`
+    /// and return a span timer for it, live when the count before the claim
+    /// is a multiple of [`FLUSH_SAMPLE_EVERY`] and inert otherwise (always
+    /// inert, without reading the clock, when telemetry is disabled). The
+    /// ordinal comes from the same atomic add that counts the drain, so
+    /// concurrent workers each take a distinct one and exactly one drain in
+    /// every `FLUSH_SAMPLE_EVERY` is timed.
     #[inline]
-    pub(crate) fn flush_timer(&self) -> SpanTimer {
-        if self.flush_ns.is_enabled()
-            && self
-                .batch_flushes
-                .value()
-                .is_multiple_of(FLUSH_SAMPLE_EVERY)
-        {
+    pub(crate) fn claim_flush(&self) -> SpanTimer {
+        if self.batch_flushes.add(1).is_multiple_of(FLUSH_SAMPLE_EVERY) {
             self.flush_ns.start()
         } else {
             LatencyHistogram::noop().start()
         }
     }
 
-    /// Record one drained batch: `reports`/`entries` flushed into shard
-    /// `shard` (the drain latency is timed separately via
-    /// [`IngestMetrics::flush_ns`]).
+    /// Record the reports and entries one claimed drain flushed into shard
+    /// `shard` (the drain itself is counted by
+    /// [`claim_flush`](IngestMetrics::claim_flush)).
     #[inline]
     pub(crate) fn record_flush(&self, shard: usize, reports: usize, entries: usize) {
-        self.batch_flushes.inc();
         self.reports.add(reports as u64);
         self.entries.add(entries as u64);
         if let Some(counter) = self.shard_reports.get(shard) {
@@ -160,9 +160,10 @@ mod tests {
     fn record_flush_advances_all_counters() {
         let registry = Registry::new();
         let m = IngestMetrics::register(&registry, 2);
-        m.record_flush(1, 3, 6);
-        m.record_flush(1, 2, 4);
-        m.record_flush(0, 1, 2);
+        for (shard, reports, entries) in [(1, 3, 6), (1, 2, 4), (0, 1, 2)] {
+            m.claim_flush().stop();
+            m.record_flush(shard, reports, entries);
+        }
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("ingest_batch_flushes_total"), Some(3));
         assert_eq!(snapshot.counter("ingest_reports_total"), Some(6));

@@ -11,7 +11,7 @@
 use crate::snapshot::HistogramSnapshot;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Number of log₂ buckets (one per possible `u64` bit length, plus zero).
 pub(crate) const BUCKETS: usize = 64;
@@ -129,14 +129,6 @@ impl LatencyHistogram {
         }
     }
 
-    /// Record one [`Duration`] (saturating at `u64::MAX` nanoseconds).
-    #[inline]
-    pub fn record_duration(&self, duration: Duration) {
-        if self.cell.is_some() {
-            self.record_ns(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
-        }
-    }
-
     /// Start an RAII span: the elapsed wall time is recorded when the returned
     /// [`SpanTimer`] is dropped. On a disabled histogram the timer is inert
     /// and never reads the clock.
@@ -184,6 +176,7 @@ impl Drop for SpanTimer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn live() -> LatencyHistogram {
         LatencyHistogram::live(Arc::new(HistogramCell::default()))
@@ -261,7 +254,6 @@ mod tests {
     fn noop_histogram_and_timer_record_nothing() {
         let h = LatencyHistogram::noop();
         h.record_ns(100);
-        h.record_duration(Duration::from_secs(1));
         let timer = h.start();
         timer.stop();
         assert_eq!(h.count(), 0);

@@ -51,12 +51,14 @@ impl Counter {
         self.add(1);
     }
 
-    /// Increment by `n`.
+    /// Increment by `n` and return the count before it (0 for a no-op
+    /// handle). Concurrent adds each see a distinct prior count, so the
+    /// return value can number events across threads.
     #[inline]
-    pub fn add(&self, n: u64) {
-        if let Some(cell) = &self.cell {
-            cell.value.fetch_add(n, Ordering::Relaxed);
-        }
+    pub fn add(&self, n: u64) -> u64 {
+        self.cell
+            .as_ref()
+            .map_or(0, |cell| cell.value.fetch_add(n, Ordering::Relaxed))
     }
 
     /// The current count (0 for a no-op handle).
@@ -132,7 +134,7 @@ mod tests {
         let c = Counter::noop();
         assert!(!c.is_enabled());
         c.inc();
-        c.add(100);
+        assert_eq!(c.add(100), 0);
         assert_eq!(c.value(), 0);
     }
 
@@ -142,7 +144,7 @@ mod tests {
         assert!(c.is_enabled());
         let c2 = c.clone();
         c.inc();
-        c2.add(9);
+        assert_eq!(c2.add(9), 1, "add returns the count before it");
         assert_eq!(c.value(), 10);
         assert_eq!(c2.value(), 10);
     }

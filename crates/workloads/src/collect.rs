@@ -15,16 +15,10 @@
 
 use crate::telemetry::WorkloadMetrics;
 use crate::{CategoricalOracle, OracleEntryMechanism, OracleKind, Result, WorkloadError};
-use hdldp_protocol::{FrequencyEstimate, IngestConfig, IngestEngine};
+use hdldp_protocol::{user_seed, FrequencyEstimate, IngestConfig, IngestEngine};
 use hdldp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Mix a run seed and a user id into an independent per-user RNG seed
-/// (splitmix-style odd-constant multiply so consecutive users decorrelate).
-pub(crate) fn user_seed(seed: u64, user_id: u64) -> u64 {
-    seed.wrapping_add((user_id + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-}
 
 /// End-to-end frequency-oracle collection for one categorical dimension.
 #[derive(Debug, Clone)]

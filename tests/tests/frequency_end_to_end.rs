@@ -5,9 +5,12 @@
 use hdldp_core::Hdr4me;
 use hdldp_data::CategoricalDataset;
 use hdldp_integration_tests::test_rng;
-use hdldp_math::stats;
+use hdldp_math::{stats, RunningMoments};
 use hdldp_mechanisms::MechanismKind;
-use hdldp_protocol::{FrequencyPipeline, PipelineConfig};
+use hdldp_protocol::{user_seed, FrequencyPipeline, PipelineConfig, ProtocolError};
+use rand::rngs::StdRng;
+use rand::seq::index::sample;
+use rand::SeedableRng;
 
 fn survey(users: usize) -> CategoricalDataset {
     CategoricalDataset::generate_zipf(users, vec![6, 4, 10], &mut test_rng(55)).unwrap()
@@ -82,4 +85,79 @@ fn true_frequencies_match_encoded_column_means() {
             assert!((means[offset + c] - f).abs() < 1e-12);
         }
     }
+}
+
+/// The collection as one serial loop: per user, the user's seed, the m-of-d
+/// dimension sample, then one `perturb` per category of each sampled
+/// dimension, folded into Welford running means. Returns the per-category
+/// means and the per-dimension report counts.
+fn serial_per_value_collection(
+    pipeline: &FrequencyPipeline,
+    data: &CategoricalDataset,
+    config: PipelineConfig,
+) -> (Vec<Vec<f64>>, Vec<u64>) {
+    let mut moments: Vec<Vec<RunningMoments>> = data
+        .categories()
+        .iter()
+        .map(|&c| vec![RunningMoments::new(); c])
+        .collect();
+    let mut counts = vec![0u64; data.dims()];
+    for user in 0..data.users() {
+        let mut rng = StdRng::seed_from_u64(user_seed(config.seed, user as u64));
+        for j in sample(&mut rng, data.dims(), config.reported_dims) {
+            let value = data.value(user, j).unwrap();
+            counts[j] += 1;
+            for (c, acc) in moments[j].iter_mut().enumerate() {
+                let raw = if c == value { 1.0 } else { 0.0 };
+                acc.push(pipeline.mechanism().perturb(raw, &mut rng));
+            }
+        }
+    }
+    let means = moments
+        .iter()
+        .map(|dim| dim.iter().map(RunningMoments::mean).collect())
+        .collect();
+    (means, counts)
+}
+
+#[test]
+fn engine_collection_draws_the_serial_per_value_streams() {
+    // The engine perturbs each report with one `perturb_entries` call and
+    // sums per shard, so only the summation order may differ from the loop.
+    let data =
+        CategoricalDataset::generate_zipf(3_000, vec![6, 4, 10, 3, 7], &mut test_rng(19)).unwrap();
+    let config = PipelineConfig::new(2.0, 3, 31);
+    for kind in MechanismKind::ALL {
+        let pipeline = FrequencyPipeline::new(kind, config).unwrap();
+        let estimate = pipeline.run(&data).unwrap();
+        let (means, counts) = serial_per_value_collection(&pipeline, &data, config);
+        assert_eq!(estimate.report_counts, counts, "{kind:?}");
+        assert_eq!(estimate.estimated.len(), means.len(), "{kind:?}");
+        for (j, (got, want)) in estimate.estimated.iter().zip(&means).enumerate() {
+            assert_eq!(got.len(), want.len(), "{kind:?} dim {j}");
+            for (g, w) in got.iter().zip(want) {
+                assert!((g - w).abs() <= 1e-12, "{kind:?} dim {j}: {g} vs {w}");
+            }
+        }
+    }
+}
+
+#[test]
+fn a_dimension_without_reports_is_named_by_its_categorical_index() {
+    // One user reporting one of three dimensions leaves two without reports.
+    // With a seed whose user reports dimension 0, the first empty dimension
+    // is 1, whose one-hot entries start at flat index 2.
+    let data = CategoricalDataset::from_rows(1, vec![2, 3, 4], vec![1, 2, 3]).unwrap();
+    let seed = (0..)
+        .find(|&seed| {
+            let mut rng = StdRng::seed_from_u64(user_seed(seed, 0));
+            sample(&mut rng, 3, 1).into_vec() == [0]
+        })
+        .unwrap();
+    let pipeline =
+        FrequencyPipeline::new(MechanismKind::Laplace, PipelineConfig::new(1.0, 1, seed)).unwrap();
+    assert_eq!(
+        pipeline.run(&data),
+        Err(ProtocolError::EmptyDimension { dimension: 1 })
+    );
 }

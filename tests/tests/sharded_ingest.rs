@@ -5,15 +5,16 @@
 //! `k/16` with small `k`, where floating-point addition is exact and therefore
 //! order-free — so *any* shard count, batch capacity, and batch boundary must
 //! reproduce the single-loop result down to the last bit. Arbitrary-float
-//! agreement (where only the summation order differs) is covered by the
-//! tolerance-based test against the legacy `Aggregator`.
+//! agreement (where only the summation order differs) is covered by a
+//! tolerance-based test against Welford running means.
 //!
 //! The last tests treat reports as untrusted: a report carrying NaN or ±∞
 //! is rejected on both ingest paths without touching the engine, as is a
 //! bulk `fill` that clears the batch buffer it is handed, and the bulk
 //! path's telemetry counts match the serial path's.
 
-use hdldp_protocol::{Aggregator, IngestConfig, IngestEngine, ProtocolError, Report};
+use hdldp_math::RunningMoments;
+use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError};
 use hdldp_telemetry::Registry;
 use proptest::prelude::*;
 
@@ -96,8 +97,8 @@ proptest! {
         prop_assert_eq!(serial.shard_loads(), bulk.shard_loads());
     }
 
-    /// On arbitrary floats the sharded estimate agrees with the legacy
-    /// Welford-based `Aggregator` up to summation-order rounding.
+    /// On arbitrary floats the sharded estimate agrees with a Welford
+    /// running mean per dimension up to summation-order rounding.
     #[test]
     fn sharded_means_agree_with_legacy_aggregator(
         values in proptest::collection::vec(-1.0f64..1.0, 1..120),
@@ -109,18 +110,20 @@ proptest! {
             .map(|chunk| chunk.iter().enumerate().map(|(dim, &v)| (dim, v)).collect())
             .collect();
         let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, 4).unwrap()).unwrap();
-        let mut aggregator = Aggregator::new(dims).unwrap();
+        let mut welford = vec![RunningMoments::new(); dims];
         for (user, entries) in reports.iter().enumerate() {
             engine.submit_entries(user as u64, entries).unwrap();
-            aggregator.ingest(&Report::new(entries.clone())).unwrap();
+            for &(dim, value) in entries {
+                welford[dim].push(value);
+            }
         }
         // Only the full leading chunks cover every dimension; skip configs
         // where some dimension got no reports.
-        if aggregator.report_counts().iter().all(|&c| c > 0) {
+        if welford.iter().all(|w| w.count() > 0) {
             let sharded = engine.estimated_means().unwrap();
-            let legacy = aggregator.estimated_means().unwrap();
-            for (s, l) in sharded.iter().zip(&legacy) {
-                prop_assert!((s - l).abs() <= 1e-12, "sharded {s} vs legacy {l}");
+            for (s, w) in sharded.iter().zip(&welford) {
+                let l = w.mean();
+                prop_assert!((s - l).abs() <= 1e-12, "sharded {s} vs Welford {l}");
             }
         }
     }

@@ -23,6 +23,7 @@ use hdldp_data::GaussianDataset;
 use hdldp_integration_tests::test_rng;
 use hdldp_math::ErfCache;
 use hdldp_mechanisms::MechanismKind;
+use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
 use hdldp_protocol::{
     IngestConfig, IngestEngine, MeanEstimationPipeline, PipelineConfig, Report, ShardAccumulator,
 };
@@ -308,6 +309,30 @@ fn instrumented_engine_counts_match_the_workload() {
     assert!(flushes > 0);
     assert_eq!(flush_hist.count, flushes.div_ceil(8));
     assert_eq!(snapshot.histogram("ingest_merge_ns").unwrap().count, 1);
+}
+
+#[test]
+fn parallel_flushes_are_sampled_exactly_one_in_flush_sample_every() {
+    // Capacity 1 makes every report its own flush, and the four shard
+    // workers of the bulk path claim their flush ordinals concurrently, so
+    // exactly users / FLUSH_SAMPLE_EVERY drains may read the clock.
+    let registry = Registry::new();
+    let mut engine =
+        IngestEngine::with_telemetry(4, IngestConfig::new(4, 1).unwrap(), &registry).unwrap();
+    let users = 20_000u64;
+    engine
+        .ingest_partitioned(0..users, |user, out| {
+            out.push(((user % 4) as usize, 1.0));
+            Ok(())
+        })
+        .unwrap();
+
+    let snapshot = registry.snapshot();
+    assert_eq!(snapshot.counter("ingest_batch_flushes_total"), Some(users));
+    assert_eq!(
+        snapshot.histogram("ingest_batch_flush_ns").unwrap().count,
+        users / FLUSH_SAMPLE_EVERY
+    );
 }
 
 #[test]
