@@ -12,8 +12,13 @@ use rand::SeedableRng;
 fn bench_client_perturb_lazy(c: &mut Criterion) {
     let mut group = c.benchmark_group("client_perturb_lazy");
     // One shape per allocation-free sampling branch: the sparse
-    // displaced-position table and the dense in-buffer shuffle.
-    for (branch, dims, m) in [("sparse", 256usize, 8usize), ("dense", 100, 100)] {
+    // displaced-position table (256x8), the dense in-buffer partial shuffle
+    // (100x60), and every dimension in order at m = d (100x100, no draw).
+    for (branch, dims, m) in [
+        ("sparse", 256usize, 8usize),
+        ("dense", 100, 60),
+        ("dense", 100, 100),
+    ] {
         let budget = BudgetSplit::new(1.0, m).expect("valid budget");
         let mechanism = LaplaceMechanism::new(budget.per_dimension()).expect("valid budget");
         let client = Client::new(&mechanism, budget, dims).expect("valid client");

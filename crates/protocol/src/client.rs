@@ -136,13 +136,15 @@ impl<'a> Client<'a> {
     /// `d`-dimensional tuple per user — only the `m` sampled dimensions are
     /// ever evaluated.
     ///
-    /// The sampled dimensions are exactly those of
+    /// The dimensions are those of the crate's one m-of-d sampler,
+    /// `sample_dims_into` in this module: at `m = d` every dimension in
+    /// ascending order, with nothing drawn, and below that exactly those of
     /// `rand::seq::index::sample(rng, d, m)`, in the same order and from the
-    /// same draws, and each value is perturbed as one
-    /// [`Mechanism::perturb`] call in that order would, so the report is
-    /// bit-identical to the per-value path. Entries already in `out` are left
-    /// untouched. Sampling is allocation-free once `out` has grown, for the
-    /// shapes listed on the private `sample_dims_into` in this module.
+    /// same draws. Each value is then perturbed as one [`Mechanism::perturb`]
+    /// call in report order would, so the report is bit-identical to that
+    /// per-value path. Entries already in `out` are left untouched. Sampling
+    /// is allocation-free once `out` has grown, for the shapes listed on
+    /// `sample_dims_into`.
     pub fn perturb_lazy_into<V: Fn(usize) -> f64>(
         &self,
         value_of: V,
@@ -150,24 +152,27 @@ impl<'a> Client<'a> {
         out: &mut Vec<(usize, f64)>,
     ) {
         let base = out.len();
-        sample_dims_into(rng, self.dims, self.budget.reported_dims(), out);
+        sample_dims_into(rng, self.dims, self.budget.reported_dims(), value_of, out);
         if let Some(report) = out.get_mut(base..) {
-            // `value_of` cannot draw from `rng`, so evaluating every value
-            // before perturbing any keeps the draw order of the per-value path.
-            for (dim, value) in report.iter_mut() {
-                *value = value_of(*dim);
-            }
             self.mechanism.perturb_entries(report, rng);
         }
     }
 }
 
 /// Append `amount` distinct dimensions from `0..length` to `out` as
-/// `(dimension, 0.0)` entries, leaving the entries already there untouched.
+/// `(dimension, value_of(dimension))` entries, leaving the entries already
+/// there untouched. `value_of` is called once per sampled dimension, in
+/// report order, and never for the others.
 ///
-/// The dimensions are exactly those `rand::seq::index::sample(rng, length,
-/// amount)` returns, in the same order and from the same `gen_range` draws,
-/// and the branches split where the vendored sampler's do:
+/// At `amount ≥ length` every dimension is reported: the sampler appends
+/// `0..length` in ascending order, writing each value in the same pass, and
+/// draws nothing. Every dimension is in the sample either way, so only the
+/// order of the report differs from a shuffle's, and that order carries
+/// nothing about the user's data.
+///
+/// Below that, the dimensions are exactly those `rand::seq::index::sample(rng,
+/// length, amount)` returns, in the same order and from the same `gen_range`
+/// draws, and the branches split where the vendored sampler's do:
 ///
 /// * sparse (`2·amount < length`), at most [`DISPLACED_CAPACITY`]
 ///   dimensions: the vendored sparse partial Fisher–Yates shuffle, with its
@@ -176,17 +181,29 @@ impl<'a> Client<'a> {
 ///   own index);
 /// * sparse, more dimensions: the vendored sampler itself, which allocates
 ///   a `Vec` and a `HashMap` per call;
-/// * dense (`2·amount ≥ length`): the same shuffle over a pool of all
-///   `length` dimensions laid out in `out` itself, truncated to the first
-///   `amount`.
+/// * dense (`2·amount ≥ length`): the same partial shuffle over a pool of
+///   all `length` dimensions laid out in `out` itself, truncated to the
+///   first `amount`.
 ///
-/// The first and last branches make no heap allocation once `out` has spare
-/// capacity for `amount` and `length` entries respectively.
+/// Only the second branch allocates; the others make no heap allocation once
+/// `out` has spare capacity for `amount` entries (every dimension and the
+/// sparse table) or `length` entries (the dense pool).
 #[expect(
     clippy::indexing_slicing,
     reason = "len <= i < amount <= DISPLACED_CAPACITY bounds every displaced index, and the dense pool holds length entries"
 )]
-fn sample_dims_into(rng: &mut StdRng, length: usize, amount: usize, out: &mut Vec<(usize, f64)>) {
+pub(crate) fn sample_dims_into<V: Fn(usize) -> f64>(
+    rng: &mut StdRng,
+    length: usize,
+    amount: usize,
+    value_of: V,
+    out: &mut Vec<(usize, f64)>,
+) {
+    if amount >= length {
+        out.extend((0..length).map(|dim| (dim, value_of(dim))));
+        return;
+    }
+    let base = out.len();
     let sparse = amount.saturating_mul(2) < length;
     if sparse && amount <= DISPLACED_CAPACITY {
         // `(position, dimension)` pairs with unique positions; `len ≤ i <
@@ -218,7 +235,6 @@ fn sample_dims_into(rng: &mut StdRng, length: usize, amount: usize, out: &mut Ve
                 .map(|dim| (dim, 0.0)),
         );
     } else {
-        let base = out.len();
         out.extend((0..length).map(|dim| (dim, 0.0)));
         if let Some(pool) = out.get_mut(base..) {
             for i in 0..amount {
@@ -226,6 +242,13 @@ fn sample_dims_into(rng: &mut StdRng, length: usize, amount: usize, out: &mut Ve
             }
         }
         out.truncate(base + amount);
+    }
+    // `value_of` cannot draw from `rng`, so evaluating the values after the
+    // draws keeps the per-value path's draw order.
+    if let Some(report) = out.get_mut(base..) {
+        for (dim, value) in report.iter_mut() {
+            *value = value_of(*dim);
+        }
     }
 }
 

@@ -9,6 +9,7 @@
 //! `d` high-dimensional mean-estimation problems, to which both the analytical
 //! framework and HDR4ME apply unchanged.
 
+use crate::client::sample_dims_into;
 use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
 use hdldp_data::CategoricalDataset;
 use hdldp_mechanisms::{
@@ -16,7 +17,6 @@ use hdldp_mechanisms::{
     PiecewiseMechanism, Rescaled, ScdfMechanism, SquareWaveMechanism, StaircaseMechanism,
 };
 use rand::rngs::StdRng;
-use rand::seq::index::sample;
 use rand::SeedableRng;
 
 /// Configuration of a frequency-estimation run (same fields as the numeric
@@ -183,12 +183,10 @@ impl FrequencyPipeline {
         engine.ingest_partitioned(0..data.users() as u64, |user, out| {
             let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
             let start = out.len();
-            for j in sample(&mut rng, dims, m) {
-                let value = data.value(user as usize, j).map_err(ProtocolError::from)?;
-                if let Some(&[lo, hi]) = offsets.get(j..j + 2) {
-                    out.extend((lo..hi).map(|e| (e, if e - lo == value { 1.0 } else { 0.0 })));
-                }
-            }
+            sample_dims_into(&mut rng, dims, m, |_| 0.0, out);
+            expand_one_hot(out, start, &offsets, |j| {
+                data.value(user as usize, j).map_err(ProtocolError::from)
+            })?;
             // One call perturbs the report's entries in order, drawing what
             // one `perturb` per entry would.
             if let Some(report) = out.get_mut(start..) {
@@ -221,6 +219,50 @@ impl FrequencyPipeline {
             per_entry_epsilon: self.mechanism.epsilon(),
         })
     }
+}
+
+/// Replace the sampled categorical dimensions in `out[start..]` by their
+/// one-hot blocks over the flat index, in sample order: dimension `j` becomes
+/// the entries `offsets[j]..offsets[j + 1]`, `1.0` at `category(j)` and `0.0`
+/// elsewhere.
+///
+/// The blocks are written back to front in place. Every dimension has at
+/// least two categories, so the `k`-th block starts at or after position
+/// `k`, and each sampled dimension is read before its block can overwrite it.
+fn expand_one_hot(
+    out: &mut Vec<(usize, f64)>,
+    start: usize,
+    offsets: &[usize],
+    category: impl Fn(usize) -> crate::Result<usize>,
+) -> crate::Result<()> {
+    let block = |j: usize| match offsets.get(j..j + 2) {
+        Some(&[lo, hi]) => lo..hi,
+        _ => 0..0,
+    };
+    let sampled = out.len().saturating_sub(start);
+    let width: usize = out
+        .get(start..)
+        .unwrap_or_default()
+        .iter()
+        .map(|&(j, _)| block(j).len())
+        .sum();
+    out.resize(start + width, (0, 0.0));
+    let report = out.get_mut(start..).unwrap_or_default();
+    let mut end = width;
+    for k in (0..sampled).rev() {
+        let Some(&(j, _)) = report.get(k) else {
+            continue;
+        };
+        let (flat, value) = (block(j), category(j)?);
+        let lo = flat.start;
+        end -= flat.len();
+        if let Some(entries) = report.get_mut(end..end + flat.len()) {
+            for (entry, e) in entries.iter_mut().zip(flat) {
+                *entry = (e, if e - lo == value { 1.0 } else { 0.0 });
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -21,8 +21,13 @@ use std::time::Instant;
 
 /// The seed of user `user_id`'s generator in a run seeded with `seed`: the
 /// run seed plus the user's 1-based index times an odd constant (the 64-bit
-/// golden ratio, as in SplitMix64), so consecutive users get decorrelated
-/// streams and a run is a pure function of its seed.
+/// golden ratio, as in SplitMix64), so a run is a pure function of its seed.
+///
+/// The constant is also SplitMix64's own increment, with which
+/// `StdRng::seed_from_u64` expands a seed into four state words, so user
+/// `u + 1` starts from user `u`'s last three words plus one new word. The
+/// xoshiro256++ output scrambles that overlap: the tests check that the first
+/// draws of users up to three apart are uncorrelated.
 pub fn user_seed(seed: u64, user_id: u64) -> u64 {
     seed.wrapping_add(user_id.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
@@ -218,7 +223,7 @@ mod tests {
     use super::*;
     use hdldp_data::UniformDataset;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     fn uniform_dataset(users: usize, dims: usize) -> Dataset {
         UniformDataset::new(users, dims)
@@ -328,5 +333,46 @@ mod tests {
         assert_eq!(runs.len(), 3);
         assert_ne!(runs[0].estimated_means, runs[1].estimated_means);
         assert_ne!(runs[1].estimated_means, runs[2].estimated_means);
+    }
+
+    #[test]
+    fn nearby_users_first_draws_are_uncorrelated() {
+        // `user_seed` steps users by SplitMix64's own increment, so user
+        // u + k starts from user u's generator state shifted by k words
+        // (4 − k shared words for k ≤ 3). At m = d a user's first draw
+        // perturbs the first value, so the first four draws of users u and
+        // u + k must be uncorrelated (k = 0 pairs distinct draws of one
+        // user). Each draw's top 16 bits are centred to the odd integers in
+        // [−65535, 65535], whose square has mean (2³² − 1)/3. For
+        // independent draws the sum S of n products has mean 0 and
+        // variance n·((2³² − 1)/3)², so |z| < 5 reads 9·S² < 25·n·(2³² − 1)²,
+        // all in integers.
+        const USERS: usize = 1 << 16;
+        const DRAWS: usize = 4;
+        let bound = 25 * ((1i128 << 32) - 1).pow(2);
+        for seed in [0, 42, 2050] {
+            let centred: Vec<[i64; DRAWS]> = (0..USERS as u64)
+                .map(|user| {
+                    let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
+                    std::array::from_fn(|_| 2 * (rng.next_u64() >> 48) as i64 - 65_535)
+                })
+                .collect();
+            for lag in 0..=3 {
+                let n = (USERS - lag) as i128;
+                for a in 0..DRAWS {
+                    for b in (0..DRAWS).filter(|&b| lag > 0 || b > a) {
+                        let sum: i128 = centred
+                            .iter()
+                            .zip(&centred[lag..])
+                            .map(|(x, y)| i128::from(x[a] * y[b]))
+                            .sum();
+                        assert!(
+                            9 * sum * sum < bound * n,
+                            "seed {seed}, users u and u + {lag}, draws {a} and {b}: S = {sum}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }

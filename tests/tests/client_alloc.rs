@@ -3,7 +3,9 @@
 //! further user sampled and perturbed by `Client::perturb_lazy_into`
 //! straight into its shard batch's entry buffer, and checked there, makes
 //! zero heap allocations, at the shapes the sampler keeps allocation-free
-//! (see `sample_dims_into` in `crates/protocol/src/client.rs`).
+//! (see `sample_dims_into` in `crates/protocol/src/client.rs`). The same
+//! holds for `FrequencyPipeline::run`, which samples through that sampler
+//! and expands each sampled dimension into its one-hot block in place.
 //!
 //! The counter is process-wide, not thread-local: the vendored rayon runs
 //! each shard on a scoped thread, and a thread-local count would miss the
@@ -18,8 +20,11 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use hdldp_mechanisms::LaplaceMechanism;
-use hdldp_protocol::{BudgetSplit, Client, IngestConfig, IngestEngine};
+use hdldp_data::CategoricalDataset;
+use hdldp_mechanisms::{LaplaceMechanism, MechanismKind};
+use hdldp_protocol::{
+    BudgetSplit, Client, FrequencyPipeline, IngestConfig, IngestEngine, PipelineConfig,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -111,5 +116,33 @@ fn ingest_partitioned_client_path_allocates_nothing_per_user() {
                  allocation count"
             );
         }
+    }
+
+    // A frequency run allocates per dimension, never per user: the sparse
+    // on-stack table, the dense pool below m = d, and every dimension at
+    // m = d. Every dimension has four categories, so every report has the
+    // same width and a batch's entry buffer stops growing at its first
+    // flush.
+    for (dims, m) in [(40, 8), (10, 7), (10, 10)] {
+        let dataset = |users: u64| {
+            let mut rng = StdRng::seed_from_u64(users);
+            CategoricalDataset::generate_zipf(users as usize, vec![4; dims], &mut rng).unwrap()
+        };
+        let (warm_data, more_data) = (
+            dataset(WARM_UP_USERS),
+            dataset(WARM_UP_USERS + COUNTED_USERS),
+        );
+        let pipeline =
+            FrequencyPipeline::new(MechanismKind::Laplace, PipelineConfig::new(1.0, m, 3)).unwrap();
+        let run_allocations = |data: &CategoricalDataset| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            pipeline.run(data).unwrap();
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        };
+        let (warm, more) = (run_allocations(&warm_data), run_allocations(&more_data));
+        assert_eq!(
+            more, warm,
+            "frequency (d={dims}, m={m}): {COUNTED_USERS} more users changed the allocation count"
+        );
     }
 }

@@ -2,11 +2,15 @@
 //!
 //! `Client::perturb_lazy_into` samples its `m` dimensions into the caller's
 //! buffer and perturbs the whole report with one `Mechanism::perturb_entries`
-//! call. Both must be bit-identical to the per-value path they replace: the
-//! vendored `rand::seq::index::sample` followed by one `Mechanism::perturb`
-//! per sampled dimension, which stays here as the oracle. Equality of the
-//! reports and of the final RNG state is what keeps every seeded test and
-//! figure output unchanged.
+//! call. Each report is pinned bit for bit, values and final RNG state, to a
+//! per-value oracle that stays here. Below `m = d` the oracle is the vendored
+//! `rand::seq::index::sample` followed by one `Mechanism::perturb` per
+//! sampled dimension. At `m = d` every dimension is reported, so the sampler
+//! draws nothing: the oracle is dimensions `0..d` in ascending order, one
+//! `perturb` each. A shuffle would report the same set there, each value
+//! perturbed once at `ε/m`, so the in-order rule changes only which draws
+//! perturb which dimension. Together the two oracles fix the streams behind
+//! every seeded output that goes through `Client`.
 
 use hdldp_mechanisms::{
     build_mechanism, LaplaceMechanism, Mechanism, MechanismKind, PiecewiseMechanism, Rescaled,
@@ -19,19 +23,22 @@ use rand::SeedableRng;
 
 /// `(d, m)` shapes on both sides of each of the sampler's branch points,
 /// plus the shapes the benchmarks and figure binaries run.
-const SHAPES: [(usize, usize); 13] = [
+const SHAPES: [(usize, usize); 16] = [
     (1, 1),
     (2, 1),
+    (2, 2),
     (7, 3),
     (8, 4),
     (9, 4),
     (100, 49),
     (100, 50),
+    (100, 99),
     (100, 100),
     (129, 64),
     (200, 64),
     (200, 65),
     (256, 8),
+    (256, 256),
     (5000, 50),
 ];
 
@@ -50,9 +57,17 @@ fn assert_bit_identical(actual: &[(usize, f64)], expected: &[(usize, f64)], what
     assert_eq!(bits(actual), bits(expected), "{what}: values");
 }
 
-#[test]
-fn client_reports_match_index_sample_then_per_value_perturb() {
-    for (d, m) in SHAPES {
+/// Check `perturb_lazy_into` against `oracle_dims` (the dimensions, drawn
+/// from the generator it is handed) followed by one `perturb` per dimension,
+/// for every mechanism kind at every shape of [`SHAPES`] that `admit`
+/// accepts; returns how many shapes were checked.
+fn assert_client_matches_oracle(
+    admit: impl Fn(usize, usize) -> bool,
+    oracle_dims: impl Fn(&mut StdRng, usize, usize) -> Vec<usize>,
+) -> usize {
+    let mut checked = 0;
+    for (d, m) in SHAPES.into_iter().filter(|&(d, m)| admit(d, m)) {
+        checked += 1;
         let budget = BudgetSplit::new(1.0, m).unwrap();
         for kind in MechanismKind::ALL {
             let mechanism = build_mechanism(kind, budget.per_dimension()).unwrap();
@@ -66,7 +81,7 @@ fn client_reports_match_index_sample_then_per_value_perturb() {
             for seed in 0..seeds {
                 let what = format!("d={d} m={m} {} seed={seed}", kind.name());
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
-                let expected: Vec<(usize, f64)> = sample(&mut oracle_rng, d, m)
+                let expected: Vec<(usize, f64)> = oracle_dims(&mut oracle_rng, d, m)
                     .into_iter()
                     .map(|j| (j, mechanism.perturb(value_of(j), &mut oracle_rng)))
                     .collect();
@@ -88,6 +103,20 @@ fn client_reports_match_index_sample_then_per_value_perturb() {
             }
         }
     }
+    checked
+}
+
+#[test]
+fn client_reports_match_index_sample_then_per_value_perturb() {
+    let checked =
+        assert_client_matches_oracle(|d, m| m < d, |rng, d, m| sample(rng, d, m).into_vec());
+    assert_eq!(checked, 12);
+}
+
+#[test]
+fn client_reports_at_m_equal_d_list_every_dimension_in_order() {
+    let checked = assert_client_matches_oracle(|d, m| m == d, |_, d, _| (0..d).collect());
+    assert_eq!(checked, 4);
 }
 
 #[test]

@@ -87,10 +87,21 @@ fn true_frequencies_match_encoded_column_means() {
     }
 }
 
+/// The m-of-d dimension sample a user reports: every dimension in ascending
+/// order at `m = d`, with nothing drawn, and `rand::seq::index::sample`
+/// below that.
+fn replay_dims(rng: &mut StdRng, d: usize, m: usize) -> Vec<usize> {
+    if m == d {
+        (0..d).collect()
+    } else {
+        sample(rng, d, m).into_vec()
+    }
+}
+
 /// The collection as one serial loop: per user, the user's seed, the m-of-d
-/// dimension sample, then one `perturb` per category of each sampled
-/// dimension, folded into Welford running means. Returns the per-category
-/// means and the per-dimension report counts.
+/// dimension sample ([`replay_dims`]), then one `perturb` per category of
+/// each sampled dimension, folded into Welford running means. Returns the
+/// per-category means and the per-dimension report counts.
 fn serial_per_value_collection(
     pipeline: &FrequencyPipeline,
     data: &CategoricalDataset,
@@ -104,7 +115,7 @@ fn serial_per_value_collection(
     let mut counts = vec![0u64; data.dims()];
     for user in 0..data.users() {
         let mut rng = StdRng::seed_from_u64(user_seed(config.seed, user as u64));
-        for j in sample(&mut rng, data.dims(), config.reported_dims) {
+        for j in replay_dims(&mut rng, data.dims(), config.reported_dims) {
             let value = data.value(user, j).unwrap();
             counts[j] += 1;
             for (c, acc) in moments[j].iter_mut().enumerate() {
@@ -137,6 +148,32 @@ fn engine_collection_draws_the_serial_per_value_streams() {
             assert_eq!(got.len(), want.len(), "{kind:?} dim {j}");
             for (g, w) in got.iter().zip(want) {
                 assert!((g - w).abs() <= 1e-12, "{kind:?} dim {j}: {g} vs {w}");
+            }
+        }
+    }
+}
+
+#[test]
+fn engine_collection_replays_sparse_samples_and_every_dimension_at_m_equal_d() {
+    // m = 2 of 5 takes the sampler's sparse branch. At m = 5 no dimension is
+    // drawn, so each user's first draw perturbs category 0 of dimension 0.
+    let data =
+        CategoricalDataset::generate_zipf(2_000, vec![6, 4, 10, 3, 7], &mut test_rng(23)).unwrap();
+    for m in [2, 5] {
+        let config = PipelineConfig::new(4.0, m, 47);
+        for kind in MechanismKind::ALL {
+            let pipeline = FrequencyPipeline::new(kind, config).unwrap();
+            let estimate = pipeline.run(&data).unwrap();
+            let (means, counts) = serial_per_value_collection(&pipeline, &data, config);
+            assert_eq!(estimate.report_counts, counts, "{kind:?} m={m}");
+            if m == 5 {
+                assert_eq!(counts, vec![2_000; 5], "{kind:?}");
+            }
+            for (j, (got, want)) in estimate.estimated.iter().zip(&means).enumerate() {
+                assert_eq!(got.len(), want.len(), "{kind:?} m={m} dim {j}");
+                for (g, w) in got.iter().zip(want) {
+                    assert!((g - w).abs() <= 1e-12, "{kind:?} m={m} dim {j}: {g} vs {w}");
+                }
             }
         }
     }
