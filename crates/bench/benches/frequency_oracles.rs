@@ -38,14 +38,21 @@ fn bench_estimate(c: &mut Criterion) {
     for kind in OracleKind::ALL {
         for k in CATEGORY_COUNTS {
             let oracle = CategoricalOracle::new(kind, k, 2.0).expect("valid oracle");
-            // A fixed batch of activation counts from 10k perturbed reports.
+            // A fixed batch of activation counts: the activated entries of
+            // 10k perturbed reports.
             let n = 10_000u64;
-            let values: Vec<usize> = (0..n as usize).map(|i| i % k).collect();
             let mut counts = vec![0u64; k];
             let mut rng = StdRng::seed_from_u64(5);
-            oracle
-                .accumulate_counts(&values, &mut rng, &mut counts)
-                .expect("values in domain");
+            let mut report = Vec::with_capacity(k);
+            for value in (0..k).cycle().take(n as usize) {
+                report.clear();
+                oracle
+                    .perturb_into(value, &mut rng, &mut report)
+                    .expect("value in domain");
+                for (count, &(_, entry)) in counts.iter_mut().zip(&report) {
+                    *count += u64::from(entry == oracle.calibrated_one());
+                }
+            }
             group.bench_with_input(BenchmarkId::new(kind.name(), k), &k, |b, _| {
                 b.iter(|| {
                     black_box(

@@ -1,12 +1,10 @@
-//! Criterion micro-benchmarks / ablation: the cost of the HDR4ME one-off
-//! closed-form solvers versus a genuinely iterative proximal gradient descent,
-//! across dimensionalities. This quantifies the paper's claim that the
-//! re-calibration adds essentially no computational burden at the collector.
+//! Criterion micro-benchmarks: the cost of the HDR4ME one-off closed-form
+//! solvers across dimensionalities. This quantifies the paper's claim that
+//! the re-calibration adds essentially no computational burden at the
+//! collector.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdldp_core::pgd::{proximal_gradient_descent, proximal_gradient_descent_reference, PgdConfig};
 use hdldp_core::solver::{solve_l1, solve_l2};
-use hdldp_core::Regularization;
 
 fn inputs(dims: usize) -> (Vec<f64>, Vec<f64>) {
     let estimate: Vec<f64> = (0..dims).map(|j| ((j as f64) * 0.37).sin() * 5.0).collect();
@@ -28,65 +26,5 @@ fn bench_closed_form(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_iterative_pgd(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hdr4me_iterative_pgd");
-    let config = PgdConfig {
-        step_size: 0.5,
-        max_iterations: 200,
-        tolerance: 1e-10,
-    };
-    for &dims in &[100usize, 1_000, 10_000] {
-        let (estimate, weights) = inputs(dims);
-        group.bench_with_input(BenchmarkId::new("l1", dims), &dims, |b, _| {
-            b.iter(|| {
-                black_box(
-                    proximal_gradient_descent(&estimate, &weights, Regularization::L1, config)
-                        .unwrap(),
-                )
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("l2", dims), &dims, |b, _| {
-            b.iter(|| {
-                black_box(
-                    proximal_gradient_descent(&estimate, &weights, Regularization::L2, config)
-                        .unwrap(),
-                )
-            })
-        });
-    }
-    group.finish();
-}
-
-/// Ablation: the pre-vectorisation per-coordinate PGD loop, for comparison
-/// against the fused-sweep rows above.
-fn bench_iterative_pgd_reference(c: &mut Criterion) {
-    let mut group = c.benchmark_group("hdr4me_iterative_pgd_reference");
-    let config = PgdConfig {
-        step_size: 0.5,
-        max_iterations: 200,
-        tolerance: 1e-10,
-    };
-    let (estimate, weights) = inputs(1_000);
-    group.bench_with_input(BenchmarkId::new("l1", 1_000), &1_000usize, |b, _| {
-        b.iter(|| {
-            black_box(
-                proximal_gradient_descent_reference(
-                    &estimate,
-                    &weights,
-                    Regularization::L1,
-                    config,
-                )
-                .unwrap(),
-            )
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_closed_form,
-    bench_iterative_pgd,
-    bench_iterative_pgd_reference,
-);
+criterion_group!(benches, bench_closed_form);
 criterion_main!(benches);

@@ -1,5 +1,5 @@
 //! Million-user ingest simulation: the driver behind the
-//! `million_user_ingest` binary and example.
+//! `million_user_ingest` binary.
 //!
 //! The paper's setting is an aggregator collecting perturbed reports from a
 //! very large population (Section III-B). This driver simulates that scale

@@ -16,7 +16,7 @@ use crate::{Hdr4me, RecalibratedMean};
 use hdldp_data::DiscreteValueDistribution;
 use hdldp_framework::{DeviationApproximation, DeviationModel};
 use hdldp_mechanisms::Mechanism;
-use hdldp_protocol::FrequencyEstimate;
+use hdldp_protocol::{normalize_frequencies, FrequencyEstimate};
 
 /// The outcome of re-calibrating one categorical dimension's frequencies.
 #[derive(Debug, Clone, PartialEq)]
@@ -75,17 +75,7 @@ impl Hdr4me {
         let raw = self.recalibrate(raw_freqs, &model)?;
 
         // Consistency post-processing: clip and renormalize.
-        let clipped: Vec<f64> = raw
-            .enhanced_means
-            .iter()
-            .map(|f| f.clamp(0.0, 1.0))
-            .collect();
-        let total: f64 = clipped.iter().sum();
-        let enhanced = if total > 0.0 {
-            clipped.iter().map(|f| f / total).collect()
-        } else {
-            vec![1.0 / clipped.len() as f64; clipped.len()]
-        };
+        let enhanced = normalize_frequencies(&raw.enhanced_means);
 
         Ok(RecalibratedFrequencies { enhanced, raw })
     }

@@ -24,9 +24,6 @@
 //!
 //! * [`regularization`] — the L1/L2 regularizer choice.
 //! * [`solver`] — the closed-form one-off solvers (Equations 34 and 42).
-//! * [`pgd`] — an iterative proximal-gradient-descent solver used to
-//!   cross-validate the closed forms (the paper derives the closed forms from
-//!   PGD; we keep both and property-test their agreement).
 //! * [`lambda`] — regularization-weight selection from the deviation model.
 //! * [`recalibrate`] — the [`Hdr4me`] re-calibrator tying everything together.
 //! * [`guarantees`] — the Theorem 3/4 improvement probabilities.
@@ -38,7 +35,6 @@ pub mod error;
 pub mod frequency;
 pub mod guarantees;
 pub mod lambda;
-pub mod pgd;
 pub mod recalibrate;
 pub mod regularization;
 pub mod solver;

@@ -47,19 +47,6 @@ impl Regularization {
             _ => None,
         }
     }
-
-    /// Evaluate the regularizer value `R(λ ∘ θ)` (diagnostic; the solvers never
-    /// need it, but tests and the PGD cross-check do).
-    pub fn penalty(&self, weights: &[f64], theta: &[f64]) -> f64 {
-        match self {
-            Regularization::L1 => weights.iter().zip(theta).map(|(l, t)| (l * t).abs()).sum(),
-            Regularization::L2 => weights
-                .iter()
-                .zip(theta)
-                .map(|(l, t)| (l * t) * (l * t))
-                .sum(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -80,16 +67,5 @@ mod tests {
         assert_eq!(Regularization::parse("LASSO"), Some(Regularization::L1));
         assert_eq!(Regularization::parse("ridge"), Some(Regularization::L2));
         assert_eq!(Regularization::parse("l3"), None);
-    }
-
-    #[test]
-    fn penalty_values() {
-        let w = [1.0, 2.0];
-        let t = [0.5, -0.25];
-        assert!((Regularization::L1.penalty(&w, &t) - 1.0).abs() < 1e-12);
-        assert!((Regularization::L2.penalty(&w, &t) - 0.5).abs() < 1e-12);
-        // Zero vector has zero penalty.
-        assert_eq!(Regularization::L1.penalty(&w, &[0.0, 0.0]), 0.0);
-        assert_eq!(Regularization::L2.penalty(&w, &[0.0, 0.0]), 0.0);
     }
 }

@@ -75,6 +75,26 @@ pub fn solve_l2(estimate: &[f64], weights: &[f64]) -> crate::Result<Vec<f64>> {
 mod tests {
     use super::*;
 
+    /// `iterations` proximal-gradient steps of size `eta` from `θ = 0` on
+    /// `0.5‖θ − θ̂‖² + R(λ ∘ θ)`: a gradient step `z = θ − η(θ − θ̂)`, then
+    /// `prox`, the scalar solver, with the η-scaled weight. The closed forms
+    /// are this iteration's fixed point.
+    fn proximal_iteration(
+        estimate: &[f64],
+        weights: &[f64],
+        prox: fn(f64, f64) -> f64,
+        eta: f64,
+        iterations: usize,
+    ) -> Vec<f64> {
+        let mut theta = vec![0.0; estimate.len()];
+        for _ in 0..iterations {
+            for ((t, &e), &w) in theta.iter_mut().zip(estimate).zip(weights) {
+                *t = prox(*t - eta * (*t - e), eta * w);
+            }
+        }
+        theta
+    }
+
     #[test]
     fn soft_threshold_cases() {
         assert_eq!(soft_threshold(2.0, 0.5), 1.5);
@@ -113,6 +133,49 @@ mod tests {
         );
         let l2 = solve_l2(&estimate, &weights).unwrap();
         assert_eq!(l2, vec![1.0, -0.2 / 3.0, 0.0, -2.0]);
+    }
+
+    #[test]
+    fn one_unit_proximal_step_from_zero_is_the_closed_form() {
+        // With η = 1 the first step lands on the minimiser exactly, which is
+        // how the paper derives Equations 34 and 42.
+        let estimate = [3.0, -0.2, 0.0, -4.0, 0.9];
+        let weights = [1.0, 1.0, 1.0, 0.5, 2.0];
+        let step = |prox| proximal_iteration(&estimate, &weights, prox, 1.0, 1);
+        assert_eq!(step(soft_threshold), solve_l1(&estimate, &weights).unwrap());
+        assert_eq!(step(l2_shrink), solve_l2(&estimate, &weights).unwrap());
+    }
+
+    #[test]
+    fn small_step_l1_proximal_iteration_converges_to_the_closed_form() {
+        let estimate = [2.5, -1.5, 0.4];
+        let weights = [0.7, 0.7, 0.7];
+        let closed = solve_l1(&estimate, &weights).unwrap();
+        // Below η = 1 the first step falls short, so the iteration has to
+        // genuinely iterate to reach Equation 34.
+        assert_ne!(
+            proximal_iteration(&estimate, &weights, soft_threshold, 0.1, 1),
+            closed
+        );
+        let theta = proximal_iteration(&estimate, &weights, soft_threshold, 0.1, 5_000);
+        for (a, b) in theta.iter().zip(&closed) {
+            assert!((a - b).abs() < 1e-6, "{a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn small_step_l2_proximal_iteration_converges_to_the_closed_form() {
+        let estimate = [2.5, -1.5, 0.4, 0.0];
+        let weights = [0.3, 1.0, 5.0, 2.0];
+        let closed = solve_l2(&estimate, &weights).unwrap();
+        assert_ne!(
+            proximal_iteration(&estimate, &weights, l2_shrink, 0.25, 1),
+            closed
+        );
+        let theta = proximal_iteration(&estimate, &weights, l2_shrink, 0.25, 10_000);
+        for (a, b) in theta.iter().zip(&closed) {
+            assert!((a - b).abs() < 1e-5, "{a} vs {b}");
+        }
     }
 
     #[test]
@@ -189,6 +252,29 @@ mod tests {
                 for i in 0..est.len() {
                     prop_assert_eq!(l1[i], soft_threshold(est[i], w[i]));
                     prop_assert_eq!(l2[i], l2_shrink(est[i], w[i]));
+                }
+            }
+
+            #[test]
+            fn proximal_iteration_converges_to_the_closed_forms(
+                pair in (1usize..16).prop_flat_map(|len| (
+                    proptest::collection::vec(-5.0f64..5.0, len),
+                    proptest::collection::vec(0.0f64..3.0, len),
+                )),
+                eta in 0.05f64..1.0,
+            ) {
+                // Each step contracts by at least 1 − η, so 2,000 steps leave
+                // no visible gap even at η = 0.05.
+                let (est, w) = pair;
+                let pairs = [
+                    (soft_threshold as fn(f64, f64) -> f64, solve_l1(&est, &w).unwrap()),
+                    (l2_shrink, solve_l2(&est, &w).unwrap()),
+                ];
+                for (prox, closed) in pairs {
+                    let theta = proximal_iteration(&est, &w, prox, eta, 2_000);
+                    for (a, b) in theta.iter().zip(&closed) {
+                        prop_assert!((a - b).abs() < 1e-9, "eta {}: {} vs {}", eta, a, b);
+                    }
                 }
             }
         }

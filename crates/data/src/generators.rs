@@ -98,21 +98,6 @@ impl GaussianDataset {
         })
     }
 
-    /// Override the standard deviation (paper default 1/16).
-    ///
-    /// # Errors
-    /// Returns [`DataError::InvalidParameter`] when `std_dev` is not positive.
-    pub fn with_std_dev(mut self, std_dev: f64) -> crate::Result<Self> {
-        if !(std_dev.is_finite() && std_dev > 0.0) {
-            return Err(DataError::InvalidParameter {
-                name: "std_dev",
-                reason: format!("must be positive, got {std_dev}"),
-            });
-        }
-        self.std_dev = std_dev;
-        Ok(self)
-    }
-
     /// The per-dimension means this generator uses (first 10% of the
     /// dimensions get the high mean).
     pub fn dimension_means(&self) -> Vec<f64> {
@@ -125,11 +110,11 @@ impl GaussianDataset {
     /// Generate the dataset; values are clamped into `[-1, 1]`.
     #[expect(
         clippy::expect_used,
-        reason = "new/with_std_dev validate std_dev positive and finite, and the loops push users * dims values"
+        reason = "new sets std_dev to 1/16, and the loops push users * dims values"
     )]
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> Dataset {
         let means = self.dimension_means();
-        let noise = Normal::new(0.0, self.std_dev).expect("validated std dev");
+        let noise = Normal::new(0.0, self.std_dev).expect("positive std dev");
         let mut values = Vec::with_capacity(self.users * self.dims);
         for _ in 0..self.users {
             for &mu in &means {
@@ -328,10 +313,6 @@ mod tests {
         assert!(PoissonDataset::new(10, 0).is_err());
         assert!(UniformDataset::new(0, 0).is_err());
         assert!(CorrelatedDataset::new(0, 5).is_err());
-        assert!(GaussianDataset::new(10, 10)
-            .unwrap()
-            .with_std_dev(0.0)
-            .is_err());
     }
 
     #[test]

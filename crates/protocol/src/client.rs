@@ -8,7 +8,7 @@
 //! equivalent to reporting all dimensions from `nm/d` users, which is what
 //! makes `E[r_j] = nm/d`.
 
-use crate::{BudgetSplit, ProtocolError, Report};
+use crate::{BudgetSplit, ProtocolError};
 use hdldp_mechanisms::Mechanism;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
@@ -82,32 +82,16 @@ impl<'a> Client<'a> {
         self.budget
     }
 
-    /// Perturb one user tuple into a report.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfig`] when the tuple length does not
-    /// match the configured dimensionality.
-    pub fn perturb_tuple(&self, tuple: &[f64], rng: &mut StdRng) -> crate::Result<Report> {
-        let mut entries = Vec::with_capacity(self.budget.reported_dims());
-        self.perturb_tuple_into(tuple, rng, &mut entries)?;
-        Ok(Report::new(entries))
-    }
-
-    /// [`perturb_tuple`](Client::perturb_tuple), but appending the report's
-    /// `(dimension, value)` entries to a caller-owned buffer instead of
-    /// allocating a [`Report`] — the allocation-free path the sharded ingest
-    /// engine feeds on.
-    ///
-    /// The randomness consumed is identical to [`perturb_tuple`]
-    /// (dimension sampling first, then one perturbation per sampled
-    /// dimension), so both paths produce the same report for the same RNG
-    /// state.
+    /// Perturb one user tuple, appending the report's `(dimension, value)`
+    /// entries to a caller-owned buffer: [`perturb_lazy_into`] over the
+    /// tuple's values, after a length check. Entries already in `out` are
+    /// left untouched.
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when the tuple length does not
     /// match the configured dimensionality.
     ///
-    /// [`perturb_tuple`]: Client::perturb_tuple
+    /// [`perturb_lazy_into`]: Client::perturb_lazy_into
     #[expect(
         clippy::indexing_slicing,
         reason = "tuple.len() == dims is checked first, and the sampler yields dims below dims"
@@ -259,6 +243,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One report through `perturb_tuple_into`, in a fresh buffer.
+    fn report(client: &Client<'_>, tuple: &[f64], rng: &mut StdRng) -> Vec<(usize, f64)> {
+        let mut entries = Vec::new();
+        client.perturb_tuple_into(tuple, rng, &mut entries).unwrap();
+        entries
+    }
+
     #[test]
     fn construction_validates_configuration() {
         let budget = BudgetSplit::new(1.0, 2).unwrap();
@@ -279,9 +270,9 @@ mod tests {
         let tuple = vec![0.1; 10];
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
-            let report = client.perturb_tuple(&tuple, &mut rng).unwrap();
-            assert_eq!(report.len(), 3);
-            let mut dims: Vec<usize> = report.entries().iter().map(|(d, _)| *d).collect();
+            let entries = report(&client, &tuple, &mut rng);
+            assert_eq!(entries.len(), 3);
+            let mut dims: Vec<usize> = entries.iter().map(|(d, _)| *d).collect();
             dims.sort_unstable();
             dims.dedup();
             assert_eq!(dims.len(), 3, "sampled dimensions must be distinct");
@@ -295,8 +286,15 @@ mod tests {
         let mech = LaplaceMechanism::new(1.0).unwrap();
         let client = Client::new(&mech, budget, 5).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        assert!(client.perturb_tuple(&[0.0; 4], &mut rng).is_err());
-        assert!(client.perturb_tuple(&[0.0; 5], &mut rng).is_ok());
+        let mut out = vec![(9, 0.5)];
+        assert!(client
+            .perturb_tuple_into(&[0.0; 4], &mut rng, &mut out)
+            .is_err());
+        assert_eq!(out, vec![(9, 0.5)], "a rejected tuple appends nothing");
+        assert!(client
+            .perturb_tuple_into(&[0.0; 5], &mut rng, &mut out)
+            .is_ok());
+        assert_eq!(out.len(), 2);
     }
 
     #[test]
@@ -308,8 +306,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut seen = [0usize; 6];
         for _ in 0..600 {
-            let report = client.perturb_tuple(&tuple, &mut rng).unwrap();
-            seen[report.entries()[0].0] += 1;
+            seen[report(&client, &tuple, &mut rng)[0].0] += 1;
         }
         // Every dimension should be picked roughly 100 times.
         for (j, &count) in seen.iter().enumerate() {
@@ -318,19 +315,22 @@ mod tests {
     }
 
     #[test]
-    fn perturb_tuple_into_matches_perturb_tuple() {
+    fn perturb_tuple_into_appends_the_lazy_report() {
         let budget = BudgetSplit::new(2.0, 3).unwrap();
         let mech = PiecewiseMechanism::new(budget.per_dimension()).unwrap();
         let client = Client::new(&mech, budget, 8).unwrap();
         let tuple: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0 - 0.5).collect();
         let mut rng_a = StdRng::seed_from_u64(21);
         let mut rng_b = StdRng::seed_from_u64(21);
-        let report = client.perturb_tuple(&tuple, &mut rng_a).unwrap();
-        let mut entries = Vec::new();
+        let mut lazy = vec![(7, 0.5)];
+        client.perturb_lazy_into(|j| tuple[j], &mut rng_a, &mut lazy);
+        let mut entries = vec![(7, 0.5)];
         client
             .perturb_tuple_into(&tuple, &mut rng_b, &mut entries)
             .unwrap();
-        assert_eq!(report.entries(), &entries[..]);
+        assert_eq!(entries, lazy);
+        assert_eq!(entries.len(), 4);
+        assert_eq!(rng_a, rng_b);
     }
 
     #[test]
@@ -366,8 +366,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let tuple = [0.9, -0.9, 0.0, 0.4];
         for _ in 0..500 {
-            let report = client.perturb_tuple(&tuple, &mut rng).unwrap();
-            for &(_, v) in report.entries() {
+            for (_, v) in report(&client, &tuple, &mut rng) {
                 assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
             }
         }

@@ -10,7 +10,7 @@
 //! framework and HDR4ME apply unchanged.
 
 use crate::client::sample_dims_into;
-use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, ProtocolError};
+use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, PipelineConfig, ProtocolError};
 use hdldp_data::CategoricalDataset;
 use hdldp_mechanisms::{
     DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
@@ -18,10 +18,6 @@ use hdldp_mechanisms::{
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-/// Configuration of a frequency-estimation run (same fields as the numeric
-/// pipeline; re-exported type alias for clarity at call sites).
-pub type FrequencyConfig = crate::PipelineConfig;
 
 /// The outcome of one frequency-estimation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,29 +34,14 @@ pub struct FrequencyEstimate {
 }
 
 impl FrequencyEstimate {
-    /// Post-processed frequencies for one dimension: clipped into `[0, 1]` and
-    /// renormalized to sum to 1 (the standard consistency step).
-    ///
-    /// NaN estimate entries are treated as 0 (infinities clip to the interval
-    /// ends like any other out-of-range value), and a degenerate column whose
-    /// clipped mass is zero falls back to the uniform distribution — the
-    /// result is always a valid distribution, never NaN.
+    /// Post-processed frequencies for one dimension: [`normalize_frequencies`]
+    /// of its raw estimate.
     ///
     /// # Errors
     /// Returns [`ProtocolError::DimensionOutOfRange`] when `dim` has no
     /// estimate.
     pub fn normalized(&self, dim: usize) -> crate::Result<Vec<f64>> {
-        let raw = column(&self.estimated, dim)?;
-        let clipped: Vec<f64> = raw
-            .iter()
-            .map(|f| if f.is_nan() { 0.0 } else { f.clamp(0.0, 1.0) })
-            .collect();
-        let total: f64 = clipped.iter().sum();
-        if total <= 0.0 {
-            // Degenerate: fall back to the uniform distribution.
-            return Ok(vec![1.0 / raw.len() as f64; raw.len()]);
-        }
-        Ok(clipped.iter().map(|f| f / total).collect())
+        Ok(normalize_frequencies(column(&self.estimated, dim)?))
     }
 
     /// Utility metrics for one dimension's raw estimate.
@@ -75,14 +56,25 @@ impl FrequencyEstimate {
             column(&self.true_frequencies, dim)?,
         )
     }
+}
 
-    /// Utility metrics for one dimension's normalized estimate.
-    ///
-    /// # Errors
-    /// Same conditions as [`FrequencyEstimate::utility`].
-    pub fn utility_normalized(&self, dim: usize) -> crate::Result<crate::UtilityReport> {
-        crate::UtilityReport::compare(&self.normalized(dim)?, column(&self.true_frequencies, dim)?)
+/// Clip frequencies into `[0, 1]` and renormalize them to sum to 1, the
+/// standard consistency step.
+///
+/// NaN entries are treated as 0 (infinities clip to the interval ends like
+/// any other out-of-range value), and a column whose clipped mass is zero
+/// falls back to the uniform distribution, so the result is always a valid
+/// distribution, never NaN.
+pub fn normalize_frequencies(raw: &[f64]) -> Vec<f64> {
+    let clipped: Vec<f64> = raw
+        .iter()
+        .map(|f| if f.is_nan() { 0.0 } else { f.clamp(0.0, 1.0) })
+        .collect();
+    let total: f64 = clipped.iter().sum();
+    if total <= 0.0 {
+        return vec![1.0 / raw.len() as f64; raw.len()];
     }
+    clipped.iter().map(|f| f / total).collect()
 }
 
 /// Dimension `dim` of per-dimension `columns`.
@@ -118,7 +110,7 @@ fn build_unit_mechanism(kind: MechanismKind, epsilon: f64) -> crate::Result<Box<
 pub struct FrequencyPipeline {
     mechanism: Box<dyn Mechanism>,
     kind: MechanismKind,
-    config: FrequencyConfig,
+    config: PipelineConfig,
 }
 
 impl FrequencyPipeline {
@@ -128,7 +120,7 @@ impl FrequencyPipeline {
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] for an invalid budget split and
     /// propagates mechanism construction errors.
-    pub fn new(kind: MechanismKind, config: FrequencyConfig) -> crate::Result<Self> {
+    pub fn new(kind: MechanismKind, config: PipelineConfig) -> crate::Result<Self> {
         let budget = BudgetSplit::new(config.total_epsilon, config.reported_dims)?;
         let mechanism = build_unit_mechanism(kind, budget.per_frequency_entry())?;
         Ok(Self {
@@ -154,7 +146,9 @@ impl FrequencyPipeline {
     /// over a flat `(dimension, category)` index: dimension `j` owns entries
     /// `offsets[j]..offsets[j + 1]`, so the engine's merged means are the
     /// category frequencies, and a report's `v_j` entries all count towards
-    /// the `r_j` read at `offsets[j]`.
+    /// the `r_j` read at `offsets[j]`. The engine runs on
+    /// [`IngestConfig::PINNED`], so the estimate's bits do not follow the
+    /// host's CPU count.
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when `m` exceeds the number of
@@ -179,7 +173,7 @@ impl FrequencyPipeline {
 
         let seed = self.config.seed;
         let mechanism = self.mechanism.as_ref();
-        let mut engine = IngestEngine::new(flat_dims, IngestConfig::per_thread())?;
+        let mut engine = IngestEngine::new(flat_dims, IngestConfig::PINNED)?;
         engine.ingest_partitioned(0..data.users() as u64, |user, out| {
             let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
             let start = out.len();
@@ -278,14 +272,14 @@ mod tests {
 
     #[test]
     fn construction_and_budget_split() {
-        let p = FrequencyPipeline::new(MechanismKind::Piecewise, FrequencyConfig::new(4.0, 2, 0))
+        let p = FrequencyPipeline::new(MechanismKind::Piecewise, PipelineConfig::new(4.0, 2, 0))
             .unwrap();
         assert_eq!(p.kind(), MechanismKind::Piecewise);
         // per entry budget = eps / (2m) = 1.
         assert!((p.mechanism().epsilon() - 1.0).abs() < 1e-12);
         assert_eq!(p.mechanism().input_domain(), (0.0, 1.0));
         assert!(
-            FrequencyPipeline::new(MechanismKind::Piecewise, FrequencyConfig::new(0.0, 2, 0))
+            FrequencyPipeline::new(MechanismKind::Piecewise, PipelineConfig::new(0.0, 2, 0))
                 .is_err()
         );
     }
@@ -305,15 +299,15 @@ mod tests {
 
     #[test]
     fn rejects_reporting_more_dims_than_available() {
-        let p = FrequencyPipeline::new(MechanismKind::Laplace, FrequencyConfig::new(1.0, 5, 0))
-            .unwrap();
+        let p =
+            FrequencyPipeline::new(MechanismKind::Laplace, PipelineConfig::new(1.0, 5, 0)).unwrap();
         assert!(p.run(&dataset(100)).is_err());
     }
 
     #[test]
     fn generous_budget_recovers_frequencies() {
         let data = dataset(4_000);
-        let p = FrequencyPipeline::new(MechanismKind::Piecewise, FrequencyConfig::new(200.0, 2, 3))
+        let p = FrequencyPipeline::new(MechanismKind::Piecewise, PipelineConfig::new(200.0, 2, 3))
             .unwrap();
         let est = p.run(&data).unwrap();
         for dim in 0..2 {
@@ -328,8 +322,8 @@ mod tests {
     #[test]
     fn report_counts_sum_to_n_times_m() {
         let data = dataset(500);
-        let p = FrequencyPipeline::new(MechanismKind::Laplace, FrequencyConfig::new(1.0, 1, 9))
-            .unwrap();
+        let p =
+            FrequencyPipeline::new(MechanismKind::Laplace, PipelineConfig::new(1.0, 1, 9)).unwrap();
         let est = p.run(&data).unwrap();
         assert_eq!(est.report_counts.iter().sum::<u64>(), 500);
         assert_eq!(est.estimated.len(), 2);
@@ -341,12 +335,15 @@ mod tests {
     #[test]
     fn normalization_improves_or_matches_raw_estimate() {
         let data = dataset(2_000);
-        let p = FrequencyPipeline::new(MechanismKind::SquareWave, FrequencyConfig::new(2.0, 2, 5))
+        let p = FrequencyPipeline::new(MechanismKind::SquareWave, PipelineConfig::new(2.0, 2, 5))
             .unwrap();
         let est = p.run(&data).unwrap();
         for dim in 0..2 {
             let raw = est.utility(dim).unwrap().mse;
-            let norm = est.utility_normalized(dim).unwrap().mse;
+            let normalized = est.normalized(dim).unwrap();
+            let norm = crate::UtilityReport::compare(&normalized, &est.true_frequencies[dim])
+                .unwrap()
+                .mse;
             // Clipping + renormalizing should not make things dramatically worse.
             assert!(
                 norm <= raw * 2.0 + 1e-6,
@@ -409,19 +406,10 @@ mod tests {
     }
 
     #[test]
-    fn utility_normalized_rejects_a_dimension_without_true_frequencies() {
-        assert!(matches!(
-            estimate_missing_truth().utility_normalized(1),
-            Err(ProtocolError::DimensionOutOfRange { dimension: 1, .. })
-        ));
-    }
-
-    #[test]
     fn runs_are_deterministic_given_seed() {
         let data = dataset(300);
         let mk = || {
-            FrequencyPipeline::new(MechanismKind::Laplace, FrequencyConfig::new(1.0, 2, 77))
-                .unwrap()
+            FrequencyPipeline::new(MechanismKind::Laplace, PipelineConfig::new(1.0, 2, 77)).unwrap()
         };
         assert_eq!(mk().run(&data).unwrap(), mk().run(&data).unwrap());
     }

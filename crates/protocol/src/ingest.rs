@@ -263,6 +263,18 @@ impl IngestConfig {
     /// Default number of reports buffered per shard before a flush.
     pub const DEFAULT_BATCH_CAPACITY: usize = 256;
 
+    /// 4 shards × [`DEFAULT_BATCH_CAPACITY`](Self::DEFAULT_BATCH_CAPACITY)
+    /// reports: the one configuration of the categorical collectors,
+    /// [`crate::FrequencyPipeline`] and the workloads' oracle pipeline. The
+    /// floating-point sums follow the shard count, so a fixed count gives
+    /// their estimates the same bits on every host, whatever its CPU count.
+    /// Once the sums no longer depend on summation order, these collectors
+    /// can follow the thread count like [`per_thread`](Self::per_thread).
+    pub const PINNED: Self = Self {
+        shards: 4,
+        batch_capacity: Self::DEFAULT_BATCH_CAPACITY,
+    };
+
     /// Create a config with `shards` shards and `batch_capacity` reports
     /// buffered per shard between flushes.
     ///

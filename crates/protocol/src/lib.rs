@@ -46,7 +46,7 @@ pub mod telemetry;
 pub use budget::BudgetSplit;
 pub use client::Client;
 pub use error::ProtocolError;
-pub use frequency::{FrequencyEstimate, FrequencyPipeline};
+pub use frequency::{normalize_frequencies, FrequencyEstimate, FrequencyPipeline};
 pub use ingest::{IngestConfig, IngestEngine, ReportBatch};
 pub use metrics::UtilityReport;
 pub use pipeline::{user_seed, MeanEstimate, MeanEstimationPipeline, PipelineConfig};

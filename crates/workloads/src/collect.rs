@@ -9,9 +9,9 @@
 //!
 //! Per-user randomness is derived deterministically from a run seed and the
 //! user id, so a fixed seed reproduces the same estimate bit-for-bit; the
-//! shard count is part of the pipeline configuration (default 4) because the
-//! merge-on-read summation order, and hence the floating-point result, depends
-//! on it.
+//! shard count is part of the pipeline configuration (default
+//! [`IngestConfig::PINNED`], 4 shards) because the merge-on-read summation
+//! order, and hence the floating-point result, depends on it.
 
 use crate::telemetry::WorkloadMetrics;
 use crate::{CategoricalOracle, OracleEntryMechanism, OracleKind, Result, WorkloadError};
@@ -54,18 +54,17 @@ impl OraclePipeline {
         registry: &Registry,
     ) -> Result<Self> {
         let oracle = CategoricalOracle::new(kind, categories, epsilon)?;
-        let ingest = IngestConfig::new(4, 256).map_err(WorkloadError::Protocol)?;
         Ok(Self {
             oracle,
             seed,
-            ingest,
+            ingest: IngestConfig::PINNED,
             registry: registry.clone(),
             metrics: WorkloadMetrics::register(registry),
         })
     }
 
     /// Override the sharded-ingest configuration (shard count and batch
-    /// capacity). The default is 4 shards × 256 reports.
+    /// capacity). The default is [`IngestConfig::PINNED`].
     pub fn with_ingest_config(mut self, config: IngestConfig) -> Self {
         self.ingest = config;
         self

@@ -216,46 +216,6 @@ impl CategoricalOracle {
         Ok(())
     }
 
-    /// Perturb a batch of values into per-category activation counts — the
-    /// count-based fast path (no calibration, no ingest routing) used by the
-    /// benches and [`CategoricalOracle::estimate_from_counts`].
-    ///
-    /// # Errors
-    /// Returns [`WorkloadError::InvalidConfig`], before any draw, when
-    /// `counts` does not hold exactly `k` slots, and
-    /// [`WorkloadError::ValueOutOfDomain`] on the first value `>= k`.
-    pub fn accumulate_counts(
-        &self,
-        values: &[usize],
-        rng: &mut StdRng,
-        counts: &mut [u64],
-    ) -> Result<()> {
-        self.check_counts_len(counts)?;
-        let (on, off) = (bernoulli_threshold(self.p), bernoulli_threshold(self.q));
-        for &value in values {
-            if value >= self.categories {
-                return Err(WorkloadError::ValueOutOfDomain {
-                    value,
-                    categories: self.categories,
-                });
-            }
-            #[expect(
-                clippy::indexing_slicing,
-                reason = "grr_report returns a category below categories == counts.len()"
-            )]
-            match self.kind {
-                OracleKind::Grr => counts[self.grr_report(value, rng)] += 1,
-                OracleKind::Oue => {
-                    for (j, slot) in counts.iter_mut().enumerate() {
-                        let threshold = if j == value { on } else { off };
-                        *slot += u64::from(below_threshold(rng.next_u64(), threshold));
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     /// Unbiased frequency estimates from activation counts over `n` reports:
     /// `f̂_j = (c_j/n − q)/(p − q)`.
     ///
@@ -511,9 +471,14 @@ mod tests {
             let oracle = CategoricalOracle::new(kind, truth.len(), 2.0).unwrap();
             let mut rng = StdRng::seed_from_u64(29);
             let mut counts = vec![0u64; truth.len()];
-            oracle
-                .accumulate_counts(&values, &mut rng, &mut counts)
-                .unwrap();
+            let mut report = Vec::with_capacity(truth.len());
+            for &value in &values {
+                report.clear();
+                oracle.perturb_into(value, &mut rng, &mut report).unwrap();
+                for (count, &(_, entry)) in counts.iter_mut().zip(&report) {
+                    *count += u64::from(entry == oracle.calibrated_one());
+                }
+            }
             let est = oracle
                 .estimate_from_counts(&counts, values.len() as u64)
                 .unwrap();
@@ -610,28 +575,6 @@ mod tests {
         }
     }
 
-    /// The per-entry count loops `accumulate_counts` replaced.
-    fn reference_accumulate_counts(
-        oracle: &CategoricalOracle,
-        values: &[usize],
-        rng: &mut StdRng,
-        counts: &mut [u64],
-    ) {
-        for &value in values {
-            match oracle.kind() {
-                OracleKind::Grr => counts[reference_grr_report(oracle, value, rng)] += 1,
-                OracleKind::Oue => {
-                    for (j, slot) in counts.iter_mut().enumerate() {
-                        let keep = if j == value { oracle.p() } else { oracle.q() };
-                        if rng.gen_bool(keep) {
-                            *slot += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
     fn reference_grr_report(oracle: &CategoricalOracle, value: usize, rng: &mut StdRng) -> usize {
         if rng.gen_bool(oracle.p()) {
             value
@@ -686,56 +629,6 @@ mod tests {
                         assert_eq!(fast_rng, reference_rng, "{at}");
                     }
                 }
-            }
-        }
-    }
-
-    #[test]
-    fn accumulate_counts_matches_the_per_entry_reference_bit_for_bit() {
-        for kind in OracleKind::ALL {
-            for k in EXACTNESS_CATEGORIES {
-                for epsilon in EXACTNESS_EPSILONS {
-                    let oracle = CategoricalOracle::new(kind, k, epsilon).unwrap();
-                    let values: Vec<usize> = (0..k).chain((0..k).rev()).collect();
-                    for seed in 0..exactness_seeds(k) {
-                        let mut fast_rng = StdRng::seed_from_u64(seed);
-                        let mut reference_rng = StdRng::seed_from_u64(seed);
-                        let (mut fast, mut reference) = (vec![3u64; k], vec![3u64; k]);
-                        oracle
-                            .accumulate_counts(&values, &mut fast_rng, &mut fast)
-                            .unwrap();
-                        reference_accumulate_counts(
-                            &oracle,
-                            &values,
-                            &mut reference_rng,
-                            &mut reference,
-                        );
-                        let at = format!("{kind:?} k={k} eps={epsilon} seed={seed}");
-                        assert_eq!(fast, reference, "{at}");
-                        assert_eq!(fast_rng, reference_rng, "{at}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn accumulate_counts_rejects_a_count_vector_of_the_wrong_length() {
-        for kind in OracleKind::ALL {
-            let oracle = CategoricalOracle::new(kind, 8, 1.0).unwrap();
-            let mut rng = StdRng::seed_from_u64(4);
-            let untouched = rng.clone();
-            for len in [3, 9] {
-                let mut counts = vec![0u64; len];
-                let err = oracle
-                    .accumulate_counts(&[0, 5, 7], &mut rng, &mut counts)
-                    .unwrap_err();
-                assert!(
-                    matches!(err, WorkloadError::InvalidConfig { name: "counts", .. }),
-                    "{kind:?}: {err}"
-                );
-                assert_eq!(counts, vec![0u64; len], "{kind:?}");
-                assert_eq!(rng, untouched, "{kind:?}: no draw before the check");
             }
         }
     }

@@ -61,12 +61,7 @@ impl RangeTree {
         self.domain
     }
 
-    /// The padded power-of-two domain the tree is built over.
-    pub fn padded_domain(&self) -> usize {
-        self.padded
-    }
-
-    /// Number of levels below the root (`log2(padded_domain)`).
+    /// Number of levels below the root (`log2` of the padded domain).
     pub fn depth(&self) -> usize {
         self.levels.len() - 1
     }
@@ -371,7 +366,7 @@ mod tests {
         let values = skewed_values(3_000, 48, 2);
         let tree = w.build(&values).unwrap();
         assert_eq!(tree.domain(), 48);
-        assert_eq!(tree.padded_domain(), 64);
+        assert_eq!(tree.padded, 64);
         // Querying past the domain end just clamps.
         let all = tree.query(0..48).unwrap();
         assert!(all > 0.5);

@@ -19,9 +19,6 @@ mod survey_recalibration;
 #[path = "../telemetry_mean_estimation.rs"]
 mod telemetry_mean_estimation;
 
-#[path = "../million_user_ingest.rs"]
-mod million_user_ingest;
-
 #[test]
 fn quickstart_runs_to_completion() {
     quickstart::main().expect("quickstart example failed");
@@ -45,13 +42,4 @@ fn survey_recalibration_runs_to_completion() {
 #[test]
 fn telemetry_mean_estimation_runs_to_completion() {
     telemetry_mean_estimation::main().expect("telemetry_mean_estimation example failed");
-}
-
-#[test]
-fn million_user_ingest_runs_to_completion_at_reduced_population() {
-    // The example defaults to 1M simulated users; the smoke test runs the
-    // same code with a reduced population (and an awkward shard count) so CI
-    // stays fast. The reduced scale also triggers the example's
-    // single-shard-equivalence assertion.
-    million_user_ingest::run(25_000, 3).expect("million_user_ingest example failed");
 }

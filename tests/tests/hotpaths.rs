@@ -1,11 +1,9 @@
 //! Equivalence tests for the vectorised analytical hot paths: the batched
-//! deviation-model construction, the batched Theorem 1 box probabilities, and
-//! the fused PGD sweeps must agree with their scalar reference
-//! implementations to within 1e-12 on property-generated inputs, including
-//! degenerate zero-variance (constant) columns.
+//! deviation-model construction and the batched Theorem 1 box probabilities
+//! must agree with their scalar reference implementations to within 1e-12 on
+//! property-generated inputs, including degenerate zero-variance (constant)
+//! columns.
 
-use hdldp_core::pgd::{proximal_gradient_descent, proximal_gradient_descent_reference, PgdConfig};
-use hdldp_core::Regularization;
 use hdldp_data::Dataset;
 use hdldp_framework::DeviationModel;
 use hdldp_integration_tests::test_rng;
@@ -117,34 +115,4 @@ proptest! {
         }
     }
 
-    /// The fused PGD sweeps agree with the per-coordinate reference loop for
-    /// both regularizers, including zero weights and varied step sizes.
-    #[test]
-    fn vectorised_pgd_matches_reference(
-        seed in 0u64..u64::MAX,
-        step_size in 0.05f64..1.0,
-    ) {
-        let mut rng = test_rng(seed);
-        for &dims in &DIMS {
-            let estimate: Vec<f64> = (0..dims).map(|_| rng.gen_range(-10.0..10.0)).collect();
-            let weights: Vec<f64> = (0..dims)
-                .map(|_| if rng.gen() < 0.1 { 0.0 } else { rng.gen_range(0.0..5.0) })
-                .collect();
-            let config = PgdConfig { step_size, max_iterations: 120, tolerance: 1e-10 };
-            for reg in Regularization::ALL {
-                let fast = proximal_gradient_descent(&estimate, &weights, reg, config).unwrap();
-                let reference =
-                    proximal_gradient_descent_reference(&estimate, &weights, reg, config).unwrap();
-                prop_assert_eq!(fast.iterations, reference.iterations, "{reg:?} d={dims}");
-                prop_assert_eq!(fast.converged, reference.converged, "{reg:?} d={dims}");
-                for j in 0..dims {
-                    prop_assert!(
-                        (fast.theta[j] - reference.theta[j]).abs() <= 1e-12,
-                        "{reg:?} d={dims} theta[{j}]: {} vs {}",
-                        fast.theta[j], reference.theta[j]
-                    );
-                }
-            }
-        }
-    }
 }
