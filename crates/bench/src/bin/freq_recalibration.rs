@@ -9,6 +9,14 @@
 //! each mechanism and budget, the frequency-vector MSE of the raw estimate,
 //! of the clip-and-renormalize baseline, and of HDR4ME (L1/L2) — averaged over
 //! the categorical dimensions.
+//!
+//! For Laplace the HDR4ME-L2 column repeats the clip-and-renormalize one
+//! (exactly, in the committed `results/freq_recalibration.json`, at ε = 1, 2
+//! and 4). Laplace noise does not depend on the input, so every category of
+//! a dimension gets the same `λ`, L2 divides every estimate by the same
+//! `2λ + 1`, and renormalizing undoes that shrink. At ε = 0.5 some raw
+//! estimates exceed 1, and the clip at 1 binds before the shrink but not
+//! after it, so the columns differ there.
 
 use hdldp_bench::{write_json_results, ExperimentScale, TextTable};
 use hdldp_core::Hdr4me;

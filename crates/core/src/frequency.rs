@@ -33,6 +33,14 @@ impl Hdr4me {
     /// `mechanism` must be the per-entry mechanism the estimate was produced
     /// with (available from [`hdldp_protocol::FrequencyPipeline::mechanism`]).
     ///
+    /// With L2 this is the clip-and-renormalize baseline
+    /// ([`FrequencyEstimate::normalized`]) up to rounding whenever the
+    /// mechanism's noise does not depend on its input, as Laplace's does not:
+    /// every category then gets the same `λ`, L2 divides the whole column by
+    /// the same `2λ + 1`, and renormalizing undoes that uniform shrink. Only
+    /// an estimate above 1 breaks the tie, because the clip at 1 binds on the
+    /// raw column but not on the shrunk one.
+    ///
     /// # Errors
     /// Propagates framework/model construction and solver errors, and returns a
     /// length-mismatch error when `dim` is out of range.
@@ -166,6 +174,55 @@ mod tests {
             assert!(result.enhanced.iter().all(|f| f.is_finite()));
             assert!(result.raw.weights.iter().all(|w| w.is_finite()));
         }
+    }
+
+    #[test]
+    fn laplace_l2_is_clip_and_renormalize_unless_an_estimate_exceeds_one() {
+        // `freq_recalibration`'s default-scale data, seeds and budgets.
+        let data = CategoricalDataset::generate_zipf(
+            10_000,
+            vec![10; 20],
+            &mut StdRng::seed_from_u64(909),
+        )
+        .unwrap();
+        let ulps = |a: f64, b: f64| (a.to_bits() as i64 - b.to_bits() as i64).unsigned_abs();
+        let mut clipped_at_one = Vec::new();
+        for epsilon in [0.5, 1.0, 2.0, 4.0] {
+            let pipeline =
+                FrequencyPipeline::new(MechanismKind::Laplace, PipelineConfig::new(epsilon, 5, 55))
+                    .unwrap();
+            let estimate = pipeline.run(&data).unwrap();
+            for dim in 0..20 {
+                let l2 = Hdr4me::l2()
+                    .recalibrate_frequencies(&estimate, dim, pipeline.mechanism())
+                    .unwrap();
+                let baseline = estimate.normalized(dim).unwrap();
+                let at = format!("ε = {epsilon}, dimension {dim}");
+                // One weight for the whole column, up to rounding, and a real
+                // shrink: every estimate is divided by 2λ + 1 > 5.
+                let weights = &l2.raw.weights;
+                assert!(weights[0] > 2.0, "{at}");
+                assert!(weights.iter().all(|&w| ulps(w, weights[0]) <= 4), "{at}");
+                if estimate.estimated[dim].iter().any(|&f| f > 1.0) {
+                    // The clip at 1 binds on the raw column but not on the
+                    // shrunk one, so the two differ.
+                    clipped_at_one.push(epsilon);
+                    let gap = l2
+                        .enhanced
+                        .iter()
+                        .zip(&baseline)
+                        .map(|(a, b)| (a - b).abs());
+                    assert!(gap.fold(0.0, f64::max) > 1e-6, "{at}");
+                } else {
+                    // Renormalizing undoes the uniform shrink; only the
+                    // rounding of the two divisions is left.
+                    let gap = l2.enhanced.iter().zip(&baseline).map(|(&a, &b)| ulps(a, b));
+                    assert!(gap.max().unwrap_or(0) <= 8, "{at}");
+                }
+            }
+        }
+        assert!(!clipped_at_one.is_empty());
+        assert!(clipped_at_one.iter().all(|&epsilon| epsilon == 0.5));
     }
 
     /// Hand-build an estimate with the given raw frequency column (bypassing

@@ -51,6 +51,12 @@ use hdldp_telemetry::Registry;
 use rayon::prelude::*;
 use std::ops::Range;
 
+/// Entries a batch holds before it is full, whatever its report capacity:
+/// 4,096 `(usize, f64)` entries are 64 KiB, so a shard buffers about that
+/// plus one report however wide its reports are. Reports of at most 16
+/// entries fill a 256-report batch first, and this bound never binds.
+const MAX_BATCH_ENTRIES: usize = 4_096;
+
 /// A bounded, flat batch of reports.
 ///
 /// Entries are stored as one contiguous array of `(dimension, perturbed
@@ -60,8 +66,10 @@ use std::ops::Range;
 /// `Mechanism::perturb_entries` already use, so
 /// [`push_entries`](ReportBatch::push_entries) is one checked copy, and
 /// [`IngestEngine::ingest_partitioned`] has each report written in place at
-/// the end of the buffer and checks only that tail. Capacity is bounded in
-/// *reports*; a full batch must be drained (ingested into a
+/// the end of the buffer and checks only that tail. A batch is full once it
+/// holds [`capacity`](ReportBatch::capacity) reports or 4,096 entries
+/// (64 KiB), whichever comes first, so its memory does not grow with the
+/// report width; a full batch must be drained (ingested into a
 /// [`ShardAccumulator`] and [`cleared`](ReportBatch::clear)) before more
 /// reports are pushed.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,7 +113,8 @@ impl ReportBatch {
         self.dims
     }
 
-    /// Maximum number of reports the batch holds.
+    /// Maximum number of reports the batch holds (it is full sooner when
+    /// its reports reach 4,096 entries).
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -125,9 +134,10 @@ impl ReportBatch {
         self.reports() == 0
     }
 
-    /// `true` when the batch holds `capacity` reports and must be drained.
+    /// `true` when the batch holds `capacity` reports or 4,096 entries and
+    /// must be drained.
     pub fn is_full(&self) -> bool {
-        self.reports() >= self.capacity
+        self.reports() >= self.capacity || self.entries.len() >= MAX_BATCH_ENTRIES
     }
 
     /// Append one report given as `(dimension, value)` entries.
@@ -195,7 +205,11 @@ impl ReportBatch {
     fn full(&self) -> ProtocolError {
         ProtocolError::InvalidConfig {
             name: "batch",
-            reason: format!("batch is full ({} reports)", self.capacity),
+            reason: format!(
+                "batch is full (it fills at {} reports or {MAX_BATCH_ENTRIES} entries, \
+                 whichever comes first)",
+                self.capacity
+            ),
         }
     }
 
@@ -260,16 +274,22 @@ pub struct IngestConfig {
 }
 
 impl IngestConfig {
-    /// Default number of reports buffered per shard before a flush.
+    /// Default number of reports buffered per shard before a flush. A batch
+    /// also flushes once it holds 4,096 entries (64 KiB), whichever comes
+    /// first: reports wider than 16 entries reach that bound first.
     pub const DEFAULT_BATCH_CAPACITY: usize = 256;
 
     /// 4 shards × [`DEFAULT_BATCH_CAPACITY`](Self::DEFAULT_BATCH_CAPACITY)
-    /// reports: the one configuration of the categorical collectors,
+    /// reports (or 4,096 entries, whichever a batch reaches first): the one
+    /// configuration of the categorical collectors,
     /// [`crate::FrequencyPipeline`] and the workloads' oracle pipeline. The
     /// floating-point sums follow the shard count, so a fixed count gives
     /// their estimates the same bits on every host, whatever its CPU count.
-    /// Once the sums no longer depend on summation order, these collectors
-    /// can follow the thread count like [`per_thread`](Self::per_thread).
+    /// Both collectors ingest through
+    /// [`IngestEngine::ingest_partitioned`], whose sums do not depend on
+    /// where the batches flush, so neither bound moves their bits. Once the
+    /// sums no longer depend on summation order, these collectors can follow
+    /// the thread count like [`per_thread`](Self::per_thread).
     pub const PINNED: Self = Self {
         shards: 4,
         batch_capacity: Self::DEFAULT_BATCH_CAPACITY,
@@ -312,7 +332,8 @@ impl IngestConfig {
         self.shards
     }
 
-    /// The configured per-shard batch capacity (in reports).
+    /// The configured per-shard batch capacity (in reports; a batch also
+    /// flushes at 4,096 entries).
     pub fn batch_capacity(&self) -> usize {
         self.batch_capacity
     }
@@ -343,8 +364,9 @@ impl Default for IngestConfig {
 /// Engines built with [`IngestEngine::with_telemetry`] record runtime metrics
 /// (reports, rejects, batch-flush and merge latency, per-shard load) into the
 /// given [`Registry`] at **flush granularity** — once per
-/// [`IngestConfig::batch_capacity`] reports — so the per-report submit path
-/// performs no atomic traffic. [`IngestEngine::new`] wires the engine to a
+/// [`IngestConfig::batch_capacity`] reports or 4,096 entries, whichever a
+/// batch reaches first — so the per-report submit path performs no atomic
+/// traffic. [`IngestEngine::new`] wires the engine to a
 /// disabled registry, which reduces every recording site to one branch.
 #[derive(Debug, Clone)]
 pub struct IngestEngine {
@@ -559,6 +581,15 @@ impl IngestEngine {
     /// buffered in per-shard batches — into one accumulator, leaving ingest
     /// state untouched.
     ///
+    /// Each shard's flushed sums are added, then its buffered entries one by
+    /// one. With more than one shard and reports still buffered (only
+    /// [`submit`](IngestEngine::submit) leaves any), the last bits of the
+    /// sums therefore depend on where the batches flushed: at
+    /// [`IngestConfig::batch_capacity`] reports or 4,096 entries, whichever
+    /// came first. After [`flush`](IngestEngine::flush) or
+    /// [`ingest_partitioned`](IngestEngine::ingest_partitioned) nothing is
+    /// buffered, and the sums do not depend on either bound.
+    ///
     /// # Errors
     /// Propagates accumulator errors (impossible for a well-formed engine).
     pub fn merged(&self) -> crate::Result<ShardAccumulator> {
@@ -648,6 +679,63 @@ mod tests {
         assert!(batch.is_empty());
         batch.push_entries(&[(1, 2.0)]).unwrap();
         assert_eq!(batch.entries(), 1);
+    }
+
+    #[test]
+    fn batch_fills_at_4096_entries_before_its_report_capacity() {
+        let wide = vec![(0, 1.0); 256];
+        let mut batch = ReportBatch::new(1, 256).unwrap();
+        for _ in 0..15 {
+            batch.push_entries(&wide).unwrap();
+        }
+        assert!(!batch.is_full());
+        batch.push_entries(&wide).unwrap();
+        assert!(
+            batch.is_full(),
+            "16 reports of 256 entries are 4,096 entries"
+        );
+        let Err(ProtocolError::InvalidConfig { name, reason }) = batch.push_entries(&[]) else {
+            panic!("a full batch must refuse a report");
+        };
+        assert_eq!(name, "batch");
+        assert!(reason.contains("256 reports or 4096 entries"), "{reason}");
+        assert_eq!(batch.reports(), 16);
+        // One report wider than the bound fills an empty batch on its own.
+        batch.clear();
+        batch.push_entries(&vec![(0, 1.0); 5_000]).unwrap();
+        assert!(batch.is_full());
+        // Reports of 15 entries reach the report capacity first.
+        batch.clear();
+        for _ in 0..256 {
+            assert!(!batch.is_full());
+            batch.push_entries(&[(0, 1.0); 15]).unwrap();
+        }
+        assert!(batch.is_full());
+        assert_eq!(batch.entries(), 3_840);
+    }
+
+    #[test]
+    fn wide_reports_flush_at_the_entry_bound_on_both_paths() {
+        let wide: Vec<(usize, f64)> = (0..256).map(|j| (j % 3, j as f64)).collect();
+        let registry = Registry::new();
+        let config = IngestConfig::new(1, 256).unwrap();
+        let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
+        for user in 0..40 {
+            engine.submit_entries(user, &wide).unwrap();
+        }
+        // Two 16-report batches of 4,096 entries drained; 8 reports wait.
+        assert_eq!(engine.shards()[0].reports(), 32);
+        assert_eq!(engine.reports(), 40);
+        engine
+            .ingest_partitioned(0..40, |_, out| {
+                out.extend_from_slice(&wide);
+                Ok(())
+            })
+            .unwrap();
+        // The bulk call drains the 8 first, then batches of 16, 16 and 8.
+        let flushes = registry.snapshot().counter("ingest_batch_flushes_total");
+        assert_eq!(flushes, Some(2 + 1 + 3));
+        assert_eq!(engine.shards()[0].reports(), 80);
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //! stay `Clone` and worker threads record into the same metrics. Bundles
 //! registered against [`Registry::disabled`] carry only no-op handles: every
 //! recording call is a single branch, nothing allocates, and the hot submit
-//! path is untouched (ingest counters are recorded at batch-flush granularity
-//! — once per [`crate::IngestConfig::batch_capacity`] reports — not per
-//! report).
+//! path is untouched (ingest counters are recorded at batch-flush granularity,
+//! not per report: a batch flushes at 256 reports or 64 KiB of entries,
+//! whichever comes first, that is at [`crate::IngestConfig::batch_capacity`]
+//! reports or 4,096 `(usize, f64)` entries).
 //!
 //! Metric names are stable and documented in `docs/OBSERVABILITY.md`:
 //!

@@ -205,9 +205,6 @@ impl CategoricalOracle {
                 };
                 // One draw per category in category order; only the true
                 // category uses `on`, so the loops around it need no select.
-                // Reserving the whole report first grows `out` as one
-                // `extend` of `k` entries would.
-                out.reserve(self.categories);
                 out.extend((0..value).map(|j| flip(j, off)));
                 out.push(flip(value, on));
                 out.extend((value + 1..self.categories).map(|j| flip(j, off)));

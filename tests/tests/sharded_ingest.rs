@@ -6,7 +6,11 @@
 //! order-free — so *any* shard count, batch capacity, and batch boundary must
 //! reproduce the single-loop result down to the last bit. Arbitrary-float
 //! agreement (where only the summation order differs) is covered by a
-//! tolerance-based test against Welford running means.
+//! tolerance-based test against Welford running means. On full-mantissa
+//! floats, where any change of order or grouping would show, the bulk path
+//! must give the same bits for every batch capacity and report width: a
+//! batch flushes at its report capacity or at 4,096 entries, and where it
+//! flushes never moves a sum.
 //!
 //! The last tests treat reports as untrusted: a report carrying NaN or ±∞
 //! is rejected on both ingest paths without touching the engine, as is a
@@ -14,9 +18,11 @@
 //! path's telemetry counts match the serial path's.
 
 use hdldp_math::RunningMoments;
-use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError};
+use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError, ShardRouter};
 use hdldp_telemetry::Registry;
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// Plain single-loop reference: per-dimension sums and counts over `reports`.
 fn single_loop_sums(dims: usize, reports: &[Vec<(usize, f64)>]) -> (Vec<f64>, Vec<u64>) {
@@ -51,8 +57,86 @@ fn dyadic_reports(dims: usize) -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> 
     })
 }
 
+/// Strategy: a report width on either side of a batch's 4,096-entry bound.
+/// Reports of 1–8 entries never reach it below 256 reports; a 300-entry
+/// report fills a batch after 14 reports, and a 5,000-entry one on its own.
+fn report_width() -> impl Strategy<Value = usize> {
+    (0usize..10).prop_map(|class| match class {
+        0..=7 => class + 1,
+        8 => 300,
+        _ => 5_000,
+    })
+}
+
+/// Reports of the given widths over `dims` dimensions, with full-mantissa
+/// values in `[-1000, 1000)` from a generator seeded with `seed`, so their
+/// sums round and the rounding follows the summation order.
+fn full_mantissa_reports(dims: usize, widths: &[usize], seed: u64) -> Vec<Vec<(usize, f64)>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    widths
+        .iter()
+        .map(|&width| {
+            (0..width)
+                .map(|_| (rng.gen_range(0..dims), rng.gen_range(-1.0e3..1.0e3)))
+                .collect()
+        })
+        .collect()
+}
+
+/// Each shard's sums over its users' reports in increasing user id, then
+/// added across shards in shard order: the bulk path's summation order.
+fn shard_serial_sums(
+    dims: usize,
+    shards: usize,
+    reports: &[Vec<(usize, f64)>],
+) -> (Vec<f64>, Vec<u64>) {
+    let router = ShardRouter::new(shards).unwrap();
+    let mut sums = vec![0.0f64; dims];
+    let mut counts = vec![0u64; dims];
+    for shard in 0..shards {
+        let own: Vec<Vec<(usize, f64)>> = (0..reports.len())
+            .filter(|&user| router.route(user as u64) == shard)
+            .map(|user| reports[user].clone())
+            .collect();
+        let (shard_sums, shard_counts) = single_loop_sums(dims, &own);
+        for dim in 0..dims {
+            sums[dim] += shard_sums[dim];
+            counts[dim] += shard_counts[dim];
+        }
+    }
+    (sums, counts)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Flush points never move the bulk path's bits: on full-mantissa
+    /// floats, `ingest_partitioned` gives each shard's sum in user order,
+    /// added across shards in shard order, at batch capacities 1, 3 and 256
+    /// and for report widths that reach the 4,096-entry bound or never do.
+    #[test]
+    fn flush_points_never_move_the_bulk_paths_bits(
+        dims in 1usize..20,
+        widths in proptest::collection::vec(report_width(), 0..30),
+        shards in 1usize..5,
+        seed in 0..u64::MAX,
+    ) {
+        let reports = full_mantissa_reports(dims, &widths, seed);
+        let bits = |sums: &[f64]| sums.iter().map(|sum| sum.to_bits()).collect::<Vec<_>>();
+        let (sums, counts) = shard_serial_sums(dims, shards, &reports);
+        for capacity in [1, 3, 256] {
+            let config = IngestConfig::new(shards, capacity).unwrap();
+            let mut engine = IngestEngine::new(dims, config).unwrap();
+            engine.ingest_partitioned(0..reports.len() as u64, |user, out| {
+                out.extend_from_slice(&reports[user as usize]);
+                Ok(())
+            }).unwrap();
+            let merged = engine.merged().unwrap();
+            prop_assert_eq!(bits(&merged.sums()), bits(&sums), "capacity {}", capacity);
+            prop_assert_eq!(merged.counts(), counts.clone(), "capacity {}", capacity);
+            prop_assert_eq!(merged.reports(), reports.len());
+        }
+    }
 
     /// On exact-addition inputs, the sharded engine reproduces the
     /// single-loop sums and counts bit-for-bit for every shard count and
