@@ -1,26 +1,39 @@
 //! Criterion micro-benchmarks: collector-side aggregation throughput
-//! (ingesting reports and producing the naive per-dimension means).
+//! (ingesting reports and producing the naive per-dimension means), on
+//! `IngestEngine::ingest_partitioned`, the path every pipeline runs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdldp_protocol::{IngestConfig, IngestEngine, Report};
+use hdldp_protocol::{IngestConfig, IngestEngine};
 use hdldp_telemetry::Registry;
 
-fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Vec<Report> {
+type Reports = Vec<Vec<(usize, f64)>>;
+
+fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Reports {
     (0..count)
         .map(|i| {
-            Report::new(
-                (0..entries_per_report)
-                    .map(|k| (((i * 31 + k * 7) % dims), ((i + k) as f64 % 3.0) - 1.0))
-                    .collect(),
-            )
+            (0..entries_per_report)
+                .map(|k| (((i * 31 + k * 7) % dims), ((i + k) as f64 % 3.0) - 1.0))
+                .collect()
         })
         .collect()
 }
 
+/// Bulk-ingest `reports` (user `u` sends `reports[u]`, copied into its shard
+/// batch) and read the merged per-dimension counts.
+fn ingest_and_count(mut engine: IngestEngine, reports: &Reports) -> Vec<u64> {
+    engine
+        .ingest_partitioned(0..reports.len() as u64, |user, out| {
+            out.extend_from_slice(black_box(&reports[user as usize]));
+            Ok(())
+        })
+        .unwrap();
+    engine.merged().unwrap().counts()
+}
+
 fn bench_sharded_ingest(c: &mut Criterion) {
-    // Hash-route every report into its shard batch, flush, and merge the
-    // per-shard partial sums into the final counts. Shard count is the swept
-    // parameter; `shards1` is the single-shard row.
+    // Hash-route every report into its shard batch, drain the batches, and
+    // merge the per-shard partial sums into the final counts. Shard count is
+    // the swept parameter; `shards1` is the single-shard row.
     let mut group = c.benchmark_group("sharded_ingest");
     let dims = 1_000usize;
     for &count in &[10_000usize, 1_000_000] {
@@ -32,12 +45,8 @@ fn bench_sharded_ingest(c: &mut Criterion) {
                 |b, &shards| {
                     let config = IngestConfig::new(shards, 256).unwrap();
                     b.iter(|| {
-                        let mut engine = IngestEngine::new(dims, config).unwrap();
-                        for (user, report) in reports.iter().enumerate() {
-                            engine.submit(user as u64, black_box(report)).unwrap();
-                        }
-                        engine.flush().unwrap();
-                        black_box(engine.report_counts().unwrap())
+                        let engine = IngestEngine::new(dims, config).unwrap();
+                        black_box(ingest_and_count(engine, &reports))
                     })
                 },
             );
@@ -67,13 +76,8 @@ fn bench_sharded_ingest_telemetry(c: &mut Criterion) {
                     // iteration would benchmark setup, not recording.
                     let registry = Registry::new();
                     b.iter(|| {
-                        let mut engine =
-                            IngestEngine::with_telemetry(dims, config, &registry).unwrap();
-                        for (user, report) in reports.iter().enumerate() {
-                            engine.submit(user as u64, black_box(report)).unwrap();
-                        }
-                        engine.flush().unwrap();
-                        black_box(engine.report_counts().unwrap())
+                        let engine = IngestEngine::with_telemetry(dims, config, &registry).unwrap();
+                        black_box(ingest_and_count(engine, &reports))
                     })
                 },
             );

@@ -10,9 +10,14 @@
 //! the ingest counters are present and consistent (reports > 0, exactly one
 //! per-shard counter per shard summing to the total), the batch-flush and
 //! merge latency histograms recorded events, and the phase-duration gauges
-//! are positive. Exits non-zero with a diagnostic on the first violation.
+//! are positive. Two sampling identities must hold exactly: the flush
+//! histogram times one flush in every `FLUSH_SAMPLE_EVERY`, so it counts
+//! ⌈`ingest_batch_flushes_total` / `FLUSH_SAMPLE_EVERY`⌉ samples, and the
+//! merge histogram times every merge, so it counts `ingest_merges_total`.
+//! Exits non-zero with a diagnostic on the first violation.
 
 use hdldp_bench::ShardTelemetryRow;
+use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
 
 fn check(rows: &[ShardTelemetryRow]) -> Result<(), String> {
     if rows.is_empty() {
@@ -48,12 +53,30 @@ fn check(rows: &[ShardTelemetryRow]) -> Result<(), String> {
             ));
         }
 
-        for name in ["ingest_batch_flush_ns", "ingest_merge_ns"] {
+        let flushes = snapshot
+            .counter("ingest_batch_flushes_total")
+            .ok_or(format!("{context}: missing ingest_batch_flushes_total"))?;
+        let merges = snapshot
+            .counter("ingest_merges_total")
+            .ok_or(format!("{context}: missing ingest_merges_total"))?;
+        for (name, expected) in [
+            (
+                "ingest_batch_flush_ns",
+                flushes.div_ceil(FLUSH_SAMPLE_EVERY),
+            ),
+            ("ingest_merge_ns", merges),
+        ] {
             let hist = snapshot
                 .histogram(name)
                 .ok_or(format!("{context}: missing histogram {name}"))?;
             if hist.count == 0 {
                 return Err(format!("{context}: histogram {name} recorded nothing"));
+            }
+            if hist.count != expected {
+                return Err(format!(
+                    "{context}: histogram {name} counts {} samples, expected {expected}",
+                    hist.count
+                ));
             }
             if hist.max_ns < hist.p50_ns {
                 return Err(format!("{context}: histogram {name} has max < p50"));

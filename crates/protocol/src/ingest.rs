@@ -5,39 +5,45 @@
 //! aggregation phase of Section IV-B. Mean estimation
 //! ([`crate::MeanEstimationPipeline`]), frequency estimation
 //! ([`crate::FrequencyPipeline`], over a flat `(dimension, category)` index)
-//! and the categorical workloads all run on it. It is built on three pieces:
+//! and the categorical workloads all run on it, and a report enters it one
+//! way only, through [`IngestEngine::ingest_partitioned`]. It is built on
+//! three pieces:
 //!
-//! * [`ReportBatch`] — a bounded flat buffer of reports (one contiguous
-//!   array of `(usize dimension, f64 perturbed value)` entries, the type
-//!   [`crate::Client`], [`Report`] and `Mechanism::perturb_entries` use), so
-//!   reports flow to shards without a per-report heap allocation.
+//! * a bounded flat batch per shard worker — one contiguous array of
+//!   `(usize dimension, f64 perturbed value)` entries, the type
+//!   [`crate::Client`] and `Mechanism::perturb_entries` write — so reports
+//!   flow to shards without a per-report heap allocation.
 //! * [`crate::ShardRouter`] — hash-partitions reports across shards by user
 //!   id, independent of arrival order and thread count.
 //! * [`crate::ShardAccumulator`] — per-shard partial sums/counts per
 //!   dimension, merged **on read**.
 //!
-//! The collector treats every report as untrusted: one branch-free scan
-//! per report rejects it, atomically, when an entry names a dimension
-//! `>= d` or carries a NaN or infinite value. Every push and accumulate
-//! path shares that check. The bulk path,
-//! [`IngestEngine::ingest_partitioned`], has each user's report written in
-//! place at the end of its shard batch's entry buffer and scans only that
-//! tail, so a report is written once and never copied.
+//! The collector treats every report as untrusted. Each user's report is
+//! written in place at the end of its shard batch's entry buffer, and one
+//! branch-free scan of that tail rejects it when an entry names a dimension
+//! `>= d` or carries a NaN or infinite value; a rejected report fails the
+//! call and leaves the engine untouched. A report is written once, checked
+//! once and never copied.
 //!
-//! Every path drains a full batch into its shard accumulator through one
-//! helper, which also records the flush's telemetry. The resulting
-//! [`IngestEngine`] produces the same estimated means as a single loop over
-//! the reports, up to the floating-point rounding of the summation order
-//! (the integration tests assert bit-for-bit equality on inputs where
-//! addition is exact), while the hot loop is two indexed adds per entry,
-//! shard-local and allocation-free.
+//! A full batch drains into its shard accumulator through one helper, which
+//! also records the flush's telemetry. The resulting [`IngestEngine`]
+//! produces the same estimated means as a single loop over the reports, up
+//! to the floating-point rounding of the summation order (the integration
+//! tests assert bit-for-bit equality on inputs where addition is exact),
+//! while the hot loop is two indexed adds per entry, shard-local and
+//! allocation-free.
 //!
 //! ```
-//! use hdldp_protocol::{IngestConfig, IngestEngine, Report};
+//! use hdldp_protocol::{IngestConfig, IngestEngine};
 //!
+//! let reports = [vec![(0, 0.5), (3, -1.0)], vec![(1, 1.0), (2, 0.0)]];
 //! let mut engine = IngestEngine::new(4, IngestConfig::new(8, 256).unwrap()).unwrap();
-//! engine.submit(7, &Report::new(vec![(0, 0.5), (3, -1.0)])).unwrap();
-//! engine.submit(8, &Report::new(vec![(1, 1.0), (2, 0.0)])).unwrap();
+//! engine
+//!     .ingest_partitioned(0..2, |user, out| {
+//!         out.extend_from_slice(&reports[user as usize]);
+//!         Ok(())
+//!     })
+//!     .unwrap();
 //! assert_eq!(engine.reports(), 2);
 //! let merged = engine.merged().unwrap();
 //! assert_eq!(merged.counts(), &[1, 1, 1, 1]);
@@ -46,7 +52,7 @@
 use crate::report::check_entries;
 use crate::shard::{ShardAccumulator, ShardRouter};
 use crate::telemetry::IngestMetrics;
-use crate::{ProtocolError, Report};
+use crate::ProtocolError;
 use hdldp_telemetry::Registry;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -57,27 +63,24 @@ use std::ops::Range;
 /// entries fill a 256-report batch first, and this bound never binds.
 const MAX_BATCH_ENTRIES: usize = 4_096;
 
-/// A bounded, flat batch of reports.
+/// A shard worker's bounded batch of reports: their entries in one
+/// contiguous array of `(dimension, perturbed value)` pairs, and how many
+/// reports they make up.
 ///
-/// Entries are stored as one contiguous array of `(dimension, perturbed
-/// value)` pairs plus report-boundary offsets, so pushing a report never
-/// allocates and the accumulate loop scans contiguous memory. Entries are
-/// `(usize, f64)`, the type [`crate::Client`], [`Report`] and
-/// `Mechanism::perturb_entries` already use, so
-/// [`push_entries`](ReportBatch::push_entries) is one checked copy, and
 /// [`IngestEngine::ingest_partitioned`] has each report written in place at
-/// the end of the buffer and checks only that tail. A batch is full once it
-/// holds [`capacity`](ReportBatch::capacity) reports or 4,096 entries
-/// (64 KiB), whichever comes first, so its memory does not grow with the
-/// report width; a full batch must be drained (ingested into a
-/// [`ShardAccumulator`] and [`cleared`](ReportBatch::clear)) before more
-/// reports are pushed.
+/// the end of the entry buffer ([`push_with`](ReportBatch::push_with)) and
+/// checks only that tail, so pushing a report never copies it and, once the
+/// buffer has grown, never allocates; the drain scans contiguous memory. A
+/// batch is full once it holds `capacity` reports or 4,096 entries (64 KiB),
+/// whichever comes first, so its memory does not grow with the report
+/// width; a full batch must be drained (ingested into a [`ShardAccumulator`]
+/// and [cleared](ReportBatch::clear)) before more reports are pushed.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReportBatch {
+pub(crate) struct ReportBatch {
     dims: usize,
     capacity: usize,
     entries: Vec<(usize, f64)>,
-    offsets: Vec<usize>,
+    reports: usize,
 }
 
 impl ReportBatch {
@@ -87,7 +90,7 @@ impl ReportBatch {
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when `dims` or `capacity` is
     /// zero.
-    pub fn new(dims: usize, capacity: usize) -> crate::Result<Self> {
+    pub(crate) fn new(dims: usize, capacity: usize) -> crate::Result<Self> {
         if dims == 0 {
             return Err(ProtocolError::InvalidConfig {
                 name: "dims",
@@ -104,75 +107,52 @@ impl ReportBatch {
             dims,
             capacity,
             entries: Vec::new(),
-            offsets: vec![0],
+            reports: 0,
         })
     }
 
     /// The dimensionality `d` entries are validated against.
-    pub fn dims(&self) -> usize {
+    pub(crate) fn dims(&self) -> usize {
         self.dims
     }
 
-    /// Maximum number of reports the batch holds (it is full sooner when
-    /// its reports reach 4,096 entries).
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Number of reports currently buffered.
-    pub fn reports(&self) -> usize {
-        self.offsets.len() - 1
+    pub(crate) fn reports(&self) -> usize {
+        self.reports
     }
 
     /// Total number of `(dimension, value)` entries currently buffered.
-    pub fn entries(&self) -> usize {
+    pub(crate) fn entries(&self) -> usize {
         self.entries.len()
     }
 
     /// `true` when no report is buffered.
-    pub fn is_empty(&self) -> bool {
-        self.reports() == 0
+    pub(crate) fn is_empty(&self) -> bool {
+        self.reports == 0
     }
 
     /// `true` when the batch holds `capacity` reports or 4,096 entries and
     /// must be drained.
-    pub fn is_full(&self) -> bool {
-        self.reports() >= self.capacity || self.entries.len() >= MAX_BATCH_ENTRIES
-    }
-
-    /// Append one report given as `(dimension, value)` entries.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::InvalidConfig`] when the batch is full,
-    /// [`ProtocolError::DimensionOutOfRange`] when an entry mentions a
-    /// dimension `>= dims` and [`ProtocolError::NonFiniteValue`] when a value
-    /// is NaN or infinite; the batch is untouched in every case.
-    pub fn push_entries(&mut self, entries: &[(usize, f64)]) -> crate::Result<()> {
-        if self.is_full() {
-            return Err(self.full());
-        }
-        // Validate the whole report before appending any of it, so a bad
-        // report leaves the batch untouched.
-        check_entries(entries, self.dims)?;
-        self.entries.extend_from_slice(entries);
-        self.offsets.push(self.entries.len());
-        Ok(())
+    pub(crate) fn is_full(&self) -> bool {
+        self.reports >= self.capacity || self.entries.len() >= MAX_BATCH_ENTRIES
     }
 
     /// Append one report that `fill` writes in place: `fill` appends the
     /// report's entries to the batch's own entry buffer, whose entries
     /// belong to earlier reports and must be left alone.
     ///
-    /// Only the appended tail is checked. When `fill` fails or the tail is
-    /// rejected, the tail is truncated and the batch holds what it held
-    /// before. When `fill` shrank the buffer, entries of earlier reports are
-    /// gone, so the batch is [cleared](ReportBatch::clear) and the push
-    /// fails.
+    /// Only the appended tail is checked, with one branch-free scan. When
+    /// `fill` fails or the tail is rejected, the tail is truncated and the
+    /// batch holds what it held before. When `fill` shrank the buffer,
+    /// entries of earlier reports are gone, so the batch is
+    /// [cleared](ReportBatch::clear) and the push fails.
     ///
     /// # Errors
-    /// Returns `fill`'s error, the errors of
-    /// [`push_entries`](ReportBatch::push_entries), and
-    /// [`ProtocolError::InvalidConfig`] when `fill` shrank the buffer.
+    /// Returns [`ProtocolError::InvalidConfig`] when the batch is full or
+    /// `fill` shrank the buffer, `fill`'s own error, and, for a rejected
+    /// tail, [`ProtocolError::DimensionOutOfRange`] when an entry mentions a
+    /// dimension `>= dims` and [`ProtocolError::NonFiniteValue`] when a value
+    /// is NaN or infinite.
     // The bulk-ingest push; its errors are built out of line.
     pub(crate) fn push_with<F>(&mut self, fill: F) -> crate::Result<()>
     where
@@ -189,8 +169,7 @@ impl ReportBatch {
         };
         match filled.and_then(|()| check_entries(report, self.dims)) {
             Ok(()) => {
-                // clear() keeps this capacity; only the first batch grows it.
-                self.offsets.push(self.entries.len());
+                self.reports += 1;
                 Ok(())
             }
             Err(e) => {
@@ -215,23 +194,14 @@ impl ReportBatch {
 
     /// The flat `(dimension index, value)` entries across all buffered
     /// reports (report boundaries are irrelevant to sum/count accumulation).
-    pub fn flat_entries(&self) -> &[(usize, f64)] {
+    pub(crate) fn flat_entries(&self) -> &[(usize, f64)] {
         &self.entries
     }
 
-    /// The entries of the `i`-th buffered report.
-    ///
-    /// Returns `None` when `i >= reports()`.
-    pub fn report(&self, i: usize) -> Option<&[(usize, f64)]> {
-        let lo = *self.offsets.get(i)?;
-        let hi = *self.offsets.get(i + 1)?;
-        self.entries.get(lo..hi)
-    }
-
-    /// Drop all buffered reports, keeping the allocations for reuse.
-    pub fn clear(&mut self) {
+    /// Drop all buffered reports, keeping the allocation for reuse.
+    pub(crate) fn clear(&mut self) {
         self.entries.clear();
-        self.offsets.truncate(1);
+        self.reports = 0;
     }
 }
 
@@ -247,7 +217,7 @@ fn fill_shrank_the_batch() -> ProtocolError {
 }
 
 /// Drain `batch` into `acc`, the accumulator of shard `shard`, record the
-/// flush in `metrics` and clear the batch: the one flush of every ingest path.
+/// flush in `metrics` and clear the batch: the one flush of the engine.
 ///
 /// # Errors
 /// Propagates [`ShardAccumulator::ingest_batch`]'s dimensionality check,
@@ -285,11 +255,10 @@ impl IngestConfig {
     /// [`crate::FrequencyPipeline`] and the workloads' oracle pipeline. The
     /// floating-point sums follow the shard count, so a fixed count gives
     /// their estimates the same bits on every host, whatever its CPU count.
-    /// Both collectors ingest through
-    /// [`IngestEngine::ingest_partitioned`], whose sums do not depend on
-    /// where the batches flush, so neither bound moves their bits. Once the
-    /// sums no longer depend on summation order, these collectors can follow
-    /// the thread count like [`per_thread`](Self::per_thread).
+    /// Where a batch flushes never moves the sums, so neither batch bound
+    /// moves their bits. Once the sums no longer depend on summation order,
+    /// these collectors can follow the thread count like
+    /// [`per_thread`](Self::per_thread).
     pub const PINNED: Self = Self {
         shards: 4,
         batch_capacity: Self::DEFAULT_BATCH_CAPACITY,
@@ -339,41 +308,32 @@ impl IngestConfig {
     }
 }
 
-impl Default for IngestConfig {
-    fn default() -> Self {
-        Self::per_thread()
-    }
-}
-
 /// The sharded, batched ingest engine.
 ///
-/// Reports enter either one at a time via [`submit`](IngestEngine::submit)
-/// (buffered in a bounded per-shard [`ReportBatch`] and flushed into the
-/// shard's [`ShardAccumulator`] when the batch fills) or in bulk via
-/// [`ingest_partitioned`](IngestEngine::ingest_partitioned) (each shard
+/// Reports enter in bulk through
+/// [`ingest_partitioned`](IngestEngine::ingest_partitioned): each shard
 /// processes exactly the users that hash to it, in parallel, with
-/// shard-local batching — no locks, no cross-shard traffic). Estimates are
-/// produced by **merge-on-read**: [`merged`](IngestEngine::merged) folds the
-/// per-shard partials (and any still-buffered batches) into one accumulator
-/// without disturbing ingest state.
+/// shard-local batching — no locks, no cross-shard traffic. The engine holds
+/// only its shard accumulators, and estimates are produced by
+/// **merge-on-read**: [`merged`](IngestEngine::merged) folds the per-shard
+/// partials into one accumulator without disturbing ingest state.
 ///
-/// Both paths accumulate each shard's reports in increasing user-id order,
-/// so for a fixed shard count the engine's state is a pure function of the
-/// submitted reports — independent of thread count and scheduling.
+/// Each shard adds its reports in increasing user-id order, so for a fixed
+/// shard count the engine's state is a pure function of the ingested
+/// reports — independent of thread count, scheduling and batch capacity.
 ///
 /// Engines built with [`IngestEngine::with_telemetry`] record runtime metrics
-/// (reports, rejects, batch-flush and merge latency, per-shard load) into the
+/// (reports, entries, batch-flush and merge latency, per-shard load) into the
 /// given [`Registry`] at **flush granularity** — once per
 /// [`IngestConfig::batch_capacity`] reports or 4,096 entries, whichever a
-/// batch reaches first — so the per-report submit path performs no atomic
-/// traffic. [`IngestEngine::new`] wires the engine to a
-/// disabled registry, which reduces every recording site to one branch.
+/// batch reaches first — so the per-report push performs no atomic traffic.
+/// [`IngestEngine::new`] wires the engine to a disabled registry, which
+/// reduces every recording site to one branch.
 #[derive(Debug, Clone)]
 pub struct IngestEngine {
     dims: usize,
     router: ShardRouter,
     batch_capacity: usize,
-    pending: Vec<ReportBatch>,
     shards: Vec<ShardAccumulator>,
     metrics: IngestMetrics,
 }
@@ -400,9 +360,6 @@ impl IngestEngine {
         registry: &Registry,
     ) -> crate::Result<Self> {
         let router = ShardRouter::new(config.shards())?;
-        let pending = (0..config.shards())
-            .map(|_| ReportBatch::new(dims, config.batch_capacity()))
-            .collect::<crate::Result<Vec<_>>>()?;
         let shards = (0..config.shards())
             .map(|_| ShardAccumulator::new(dims))
             .collect::<crate::Result<Vec<_>>>()?;
@@ -410,101 +367,23 @@ impl IngestEngine {
             dims,
             router,
             batch_capacity: config.batch_capacity(),
-            pending,
             shards,
             metrics: IngestMetrics::register(registry, config.shards()),
         })
     }
 
-    /// The configured dimensionality `d`.
-    pub fn dims(&self) -> usize {
-        self.dims
-    }
-
-    /// The number of shards reports are partitioned over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The per-shard batch capacity (in reports).
-    pub fn batch_capacity(&self) -> usize {
-        self.batch_capacity
-    }
-
-    /// Total reports ingested so far (accumulated + still buffered).
+    /// Total reports ingested so far.
     pub fn reports(&self) -> usize {
-        self.shards
-            .iter()
-            .map(ShardAccumulator::reports)
-            .sum::<usize>()
-            + self.pending.iter().map(ReportBatch::reports).sum::<usize>()
+        self.shards.iter().map(ShardAccumulator::reports).sum()
     }
 
-    /// Reports per shard (accumulated + still buffered), for load inspection.
+    /// Reports per shard, for load inspection.
     pub fn shard_loads(&self) -> Vec<usize> {
-        self.shards
-            .iter()
-            .zip(&self.pending)
-            .map(|(acc, batch)| acc.reports() + batch.reports())
-            .collect()
+        self.shards.iter().map(ShardAccumulator::reports).collect()
     }
 
-    /// Submit one report for `user_id`: route to its shard, buffer it in the
-    /// shard's bounded batch, and flush the batch into the shard accumulator
-    /// when it fills.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::DimensionOutOfRange`] when the report
-    /// mentions a dimension `>= dims` and [`ProtocolError::NonFiniteValue`]
-    /// when a value is NaN or infinite; the engine is untouched in either
-    /// case.
-    pub fn submit(&mut self, user_id: u64, report: &Report) -> crate::Result<()> {
-        self.submit_entries(user_id, report.entries())
-    }
-
-    /// [`submit`](IngestEngine::submit) for a report given directly as
-    /// `(dimension, value)` entries.
-    ///
-    /// # Errors
-    /// Same conditions as [`submit`](IngestEngine::submit).
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "route() returns a shard below the shard count, and pending and shards hold one entry per shard"
-    )]
-    pub fn submit_entries(&mut self, user_id: u64, entries: &[(usize, f64)]) -> crate::Result<()> {
-        let shard = self.router.route(user_id);
-        let batch = &mut self.pending[shard];
-        if let Err(e) = batch.push_entries(entries) {
-            self.metrics.rejects.inc();
-            return Err(e);
-        }
-        if batch.is_full() {
-            drain(&self.metrics, shard, &mut self.shards[shard], batch)?;
-        }
-        Ok(())
-    }
-
-    /// Flush every partially filled batch into its shard accumulator.
-    ///
-    /// Reading paths ([`merged`](IngestEngine::merged) and friends) already
-    /// include buffered reports, so flushing is only needed to bound memory
-    /// or before comparing shard state directly.
-    ///
-    /// # Errors
-    /// Propagates a dimensionality mismatch from the shard accumulator.
-    /// Batches validate entries on `push`, so this only fires if a batch
-    /// was mutated outside the engine's control; already-flushed shards
-    /// keep their reports, the failing batch is left un-cleared.
-    pub fn flush(&mut self) -> crate::Result<()> {
-        for (index, (shard, batch)) in self.shards.iter_mut().zip(&mut self.pending).enumerate() {
-            if !batch.is_empty() {
-                drain(&self.metrics, index, shard, batch)?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Bulk-ingest the user range `users` in parallel, one worker per shard.
+    /// Bulk-ingest the user range `users` in parallel, one worker per shard:
+    /// the one way a report enters the engine.
     ///
     /// `fill` produces user `u`'s report by appending its `(dimension,
     /// value)` entries to the buffer it is handed, which is the shard
@@ -512,36 +391,35 @@ impl IngestEngine {
     /// copy. The entries already in the buffer belong to earlier reports of
     /// the batch and must be left alone, and the buffer is not cleared
     /// between users, so `fill` may only append. A `fill` that shrinks the
-    /// buffer fails the call. Each appended report is checked as
-    /// [`ReportBatch::push_entries`] checks one.
+    /// buffer fails the call. Each appended report is checked with one
+    /// branch-free scan: every dimension below `d`, every value finite.
     ///
     /// Each shard's worker walks the whole range but generates reports only
     /// for the users that hash to it, so reports flow shard-locally through
-    /// a bounded batch: no locks, no cross-thread report traffic. The
-    /// engine's state ends bit-for-bit, and its `ingest_*` counts equal, as
-    /// if [`submit_entries`](IngestEngine::submit_entries) had been called
-    /// for every user in increasing id order on a freshly flushed engine,
-    /// followed by [`flush`](IngestEngine::flush).
+    /// a bounded batch: no locks, no cross-thread report traffic. The batch
+    /// drains into the worker's accumulator whenever it fills, at
+    /// [`IngestConfig::batch_capacity`] reports or 4,096 entries, and once
+    /// more at the end of the range. Either way the worker adds its users'
+    /// entries one after another in increasing id order, so where the batch
+    /// drains never moves a sum.
     ///
     /// # Errors
-    /// Propagates the first error of `fill` or of the report check, and
-    /// returns [`ProtocolError::InvalidConfig`] when `fill` shrank the
-    /// buffer; the engine's reports and sums are untouched when any shard
-    /// fails.
+    /// Propagates the first error of `fill`; returns
+    /// [`ProtocolError::DimensionOutOfRange`] or
+    /// [`ProtocolError::NonFiniteValue`] for a rejected report, and
+    /// [`ProtocolError::InvalidConfig`] when `fill` shrank the buffer. The
+    /// engine's reports and sums are untouched when any shard fails.
     pub fn ingest_partitioned<F>(&mut self, users: Range<u64>, fill: F) -> crate::Result<()>
     where
         F: Fn(u64, &mut Vec<(usize, f64)>) -> crate::Result<()> + Sync,
     {
-        // Flush buffered reports first so per-shard arrival order matches the
-        // equivalent serial submit sequence.
-        self.flush()?;
         let dims = self.dims;
         let router = self.router;
         let capacity = self.batch_capacity;
         let fill = &fill;
         let metrics = self.metrics.clone();
 
-        let partials: Vec<crate::Result<ShardAccumulator>> = (0..self.shard_count())
+        let partials: Vec<crate::Result<ShardAccumulator>> = (0..self.shards.len())
             .into_par_iter()
             .map(move |shard| {
                 let mut acc = ShardAccumulator::new(dims)?;
@@ -571,24 +449,8 @@ impl IngestEngine {
         Ok(())
     }
 
-    /// The shard accumulators (flushed state only; buffered batches are not
-    /// included until a flush).
-    pub fn shards(&self) -> &[ShardAccumulator] {
-        &self.shards
-    }
-
-    /// Merge-on-read: fold every shard's partials — including reports still
-    /// buffered in per-shard batches — into one accumulator, leaving ingest
-    /// state untouched.
-    ///
-    /// Each shard's flushed sums are added, then its buffered entries one by
-    /// one. With more than one shard and reports still buffered (only
-    /// [`submit`](IngestEngine::submit) leaves any), the last bits of the
-    /// sums therefore depend on where the batches flushed: at
-    /// [`IngestConfig::batch_capacity`] reports or 4,096 entries, whichever
-    /// came first. After [`flush`](IngestEngine::flush) or
-    /// [`ingest_partitioned`](IngestEngine::ingest_partitioned) nothing is
-    /// buffered, and the sums do not depend on either bound.
+    /// Merge-on-read: fold every shard's partials into one accumulator,
+    /// adding the shards in shard order, and leave ingest state untouched.
     ///
     /// # Errors
     /// Propagates accumulator errors (impossible for a well-formed engine).
@@ -596,11 +458,8 @@ impl IngestEngine {
         self.metrics.merges.inc();
         let _timer = self.metrics.merge_ns.start();
         let mut total = ShardAccumulator::new(self.dims)?;
-        for (shard, batch) in self.shards.iter().zip(&self.pending) {
+        for shard in &self.shards {
             total.merge(shard)?;
-            if !batch.is_empty() {
-                total.ingest_batch(batch)?;
-            }
         }
         Ok(total)
     }
@@ -613,32 +472,27 @@ impl IngestEngine {
     pub fn estimated_means(&self) -> crate::Result<Vec<f64>> {
         self.merged()?.means()
     }
-
-    /// Number of values received in each dimension (`r_j`), over all shards.
-    ///
-    /// # Errors
-    /// Propagates merge errors (impossible for a well-formed engine).
-    pub fn report_counts(&self) -> crate::Result<Vec<u64>> {
-        Ok(self.merged()?.counts())
-    }
-
-    /// Reset every shard and batch to empty, keeping allocations.
-    pub fn clear(&mut self) {
-        for shard in &mut self.shards {
-            shard.clear();
-        }
-        for batch in &mut self.pending {
-            batch.clear();
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn report(entries: &[(usize, f64)]) -> Report {
-        Report::new(entries.to_vec())
+    /// Push `entries` as one report, the way `ingest_partitioned`'s `fill`
+    /// writes one.
+    fn push(batch: &mut ReportBatch, entries: &[(usize, f64)]) -> crate::Result<()> {
+        batch.push_with(|out| {
+            out.extend_from_slice(entries);
+            Ok(())
+        })
+    }
+
+    /// Ingest `reports` into `engine`, user `u` sending `reports[u]`.
+    fn ingest(engine: &mut IngestEngine, reports: &[Vec<(usize, f64)>]) -> crate::Result<()> {
+        engine.ingest_partitioned(0..reports.len() as u64, |user, out| {
+            out.extend_from_slice(&reports[user as usize]);
+            Ok(())
+        })
     }
 
     #[test]
@@ -647,7 +501,7 @@ mod tests {
         assert!(ReportBatch::new(4, 0).is_err());
         let batch = ReportBatch::new(4, 2).unwrap();
         assert_eq!(batch.dims(), 4);
-        assert_eq!(batch.capacity(), 2);
+        assert_eq!(batch.capacity, 2);
         assert!(batch.is_empty());
         assert!(!batch.is_full());
     }
@@ -655,29 +509,26 @@ mod tests {
     #[test]
     fn batch_stores_reports_in_flat_arrays() {
         let mut batch = ReportBatch::new(4, 3).unwrap();
-        batch.push_entries(&[(0, 1.0), (3, -1.0)]).unwrap();
-        batch.push_entries(&[(1, 0.5)]).unwrap();
-        batch.push_entries(&[]).unwrap();
+        push(&mut batch, &[(0, 1.0), (3, -1.0)]).unwrap();
+        push(&mut batch, &[(1, 0.5)]).unwrap();
+        push(&mut batch, &[]).unwrap();
         assert_eq!(batch.reports(), 3);
         assert_eq!(batch.entries(), 3);
         assert!(batch.is_full());
         assert_eq!(batch.flat_entries(), &[(0, 1.0), (3, -1.0), (1, 0.5)]);
-        assert_eq!(batch.report(0), Some(&[(0usize, 1.0), (3, -1.0)][..]));
-        assert_eq!(batch.report(1), Some(&[(1usize, 0.5)][..]));
-        assert_eq!(batch.report(2), Some(&[][..]));
-        assert_eq!(batch.report(3), None);
     }
 
     #[test]
     fn batch_rejects_overflow_and_bad_dims_atomically() {
         let mut batch = ReportBatch::new(2, 1).unwrap();
-        assert!(batch.push_entries(&[(0, 1.0), (7, 1.0)]).is_err());
+        assert!(push(&mut batch, &[(0, 1.0), (7, 1.0)]).is_err());
         assert!(batch.is_empty(), "failed push must not leave partial state");
-        batch.push_entries(&[(0, 1.0)]).unwrap();
-        assert!(batch.push_entries(&[(1, 1.0)]).is_err(), "batch is full");
+        assert_eq!(batch.entries(), 0);
+        push(&mut batch, &[(0, 1.0)]).unwrap();
+        assert!(push(&mut batch, &[(1, 1.0)]).is_err(), "batch is full");
         batch.clear();
         assert!(batch.is_empty());
-        batch.push_entries(&[(1, 2.0)]).unwrap();
+        push(&mut batch, &[(1, 2.0)]).unwrap();
         assert_eq!(batch.entries(), 1);
     }
 
@@ -686,15 +537,15 @@ mod tests {
         let wide = vec![(0, 1.0); 256];
         let mut batch = ReportBatch::new(1, 256).unwrap();
         for _ in 0..15 {
-            batch.push_entries(&wide).unwrap();
+            push(&mut batch, &wide).unwrap();
         }
         assert!(!batch.is_full());
-        batch.push_entries(&wide).unwrap();
+        push(&mut batch, &wide).unwrap();
         assert!(
             batch.is_full(),
             "16 reports of 256 entries are 4,096 entries"
         );
-        let Err(ProtocolError::InvalidConfig { name, reason }) = batch.push_entries(&[]) else {
+        let Err(ProtocolError::InvalidConfig { name, reason }) = push(&mut batch, &[]) else {
             panic!("a full batch must refuse a report");
         };
         assert_eq!(name, "batch");
@@ -702,59 +553,50 @@ mod tests {
         assert_eq!(batch.reports(), 16);
         // One report wider than the bound fills an empty batch on its own.
         batch.clear();
-        batch.push_entries(&vec![(0, 1.0); 5_000]).unwrap();
+        push(&mut batch, &vec![(0, 1.0); 5_000]).unwrap();
         assert!(batch.is_full());
         // Reports of 15 entries reach the report capacity first.
         batch.clear();
         for _ in 0..256 {
             assert!(!batch.is_full());
-            batch.push_entries(&[(0, 1.0); 15]).unwrap();
+            push(&mut batch, &[(0, 1.0); 15]).unwrap();
         }
         assert!(batch.is_full());
         assert_eq!(batch.entries(), 3_840);
     }
 
     #[test]
-    fn wide_reports_flush_at_the_entry_bound_on_both_paths() {
+    fn wide_reports_flush_at_the_entry_bound() {
         let wide: Vec<(usize, f64)> = (0..256).map(|j| (j % 3, j as f64)).collect();
         let registry = Registry::new();
         let config = IngestConfig::new(1, 256).unwrap();
         let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
-        for user in 0..40 {
-            engine.submit_entries(user, &wide).unwrap();
-        }
-        // Two 16-report batches of 4,096 entries drained; 8 reports wait.
-        assert_eq!(engine.shards()[0].reports(), 32);
-        assert_eq!(engine.reports(), 40);
-        engine
-            .ingest_partitioned(0..40, |_, out| {
-                out.extend_from_slice(&wide);
-                Ok(())
-            })
-            .unwrap();
-        // The bulk call drains the 8 first, then batches of 16, 16 and 8.
+        ingest(&mut engine, &vec![wide; 40]).unwrap();
+        // Batches of 16, 16 and 8 reports: the first two drain at 4,096
+        // entries, the last at the end of the range.
         let flushes = registry.snapshot().counter("ingest_batch_flushes_total");
-        assert_eq!(flushes, Some(2 + 1 + 3));
-        assert_eq!(engine.shards()[0].reports(), 80);
+        assert_eq!(flushes, Some(3));
+        assert_eq!(engine.reports(), 40);
     }
 
     #[test]
     fn batch_rejects_non_finite_values_atomically() {
         let mut batch = ReportBatch::new(2, 2).unwrap();
-        batch.push_entries(&[(1, 0.5)]).unwrap();
+        push(&mut batch, &[(1, 0.5)]).unwrap();
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             assert_eq!(
-                batch.push_entries(&[(0, 1.0), (1, bad)]),
+                push(&mut batch, &[(0, 1.0), (1, bad)]),
                 Err(ProtocolError::NonFiniteValue { dimension: 1 })
             );
             assert_eq!(batch.flat_entries(), &[(1, 0.5)]);
+            assert_eq!(batch.reports(), 1);
         }
     }
 
     #[test]
     fn push_with_checks_only_the_appended_tail() {
         let mut batch = ReportBatch::new(2, 4).unwrap();
-        batch.push_entries(&[(0, 1.0)]).unwrap();
+        push(&mut batch, &[(0, 1.0)]).unwrap();
         batch
             .push_with(|out| {
                 out.extend_from_slice(&[(1, 2.0), (0, 3.0)]);
@@ -763,8 +605,7 @@ mod tests {
             .unwrap();
         batch.push_with(|_| Ok(())).unwrap();
         assert_eq!(batch.reports(), 3);
-        assert_eq!(batch.report(1), Some(&[(1usize, 2.0), (0, 3.0)][..]));
-        assert_eq!(batch.report(2), Some(&[][..]));
+        assert_eq!(batch.flat_entries(), &[(0, 1.0), (1, 2.0), (0, 3.0)]);
         let filled = batch.clone();
         // A rejected tail or a failing fill is truncated away.
         let bad_tail = batch.push_with(|out| {
@@ -802,7 +643,7 @@ mod tests {
     #[test]
     fn push_with_clears_the_batch_when_fill_shrinks_it() {
         let mut batch = ReportBatch::new(2, 4).unwrap();
-        batch.push_entries(&[(0, 1.0), (1, 1.0)]).unwrap();
+        push(&mut batch, &[(0, 1.0), (1, 1.0)]).unwrap();
         let shrunk = batch.push_with(|out| {
             out.truncate(1);
             Ok(())
@@ -822,10 +663,10 @@ mod tests {
         let config = IngestConfig::new(4, 16).unwrap();
         assert_eq!(config.shards(), 4);
         assert_eq!(config.batch_capacity(), 16);
-        let default = IngestConfig::default();
-        assert!(default.shards() >= 1);
+        let per_thread = IngestConfig::per_thread();
+        assert!(per_thread.shards() >= 1);
         assert_eq!(
-            default.batch_capacity(),
+            per_thread.batch_capacity(),
             IngestConfig::DEFAULT_BATCH_CAPACITY
         );
     }
@@ -833,78 +674,32 @@ mod tests {
     #[test]
     fn engine_matches_single_loop_means() {
         let reports = [
-            report(&[(0, 1.0), (2, -1.0)]),
-            report(&[(0, 3.0), (1, 0.5)]),
-            report(&[(1, 1.5), (2, 1.0)]),
-            report(&[(0, 2.0)]),
+            vec![(0, 1.0), (2, -1.0)],
+            vec![(0, 3.0), (1, 0.5)],
+            vec![(1, 1.5), (2, 1.0)],
+            vec![(0, 2.0)],
         ];
         let mut engine = IngestEngine::new(3, IngestConfig::new(4, 2).unwrap()).unwrap();
-        for (uid, r) in reports.iter().enumerate() {
-            engine.submit(uid as u64, r).unwrap();
-        }
+        ingest(&mut engine, &reports).unwrap();
         assert_eq!(engine.reports(), 4);
-        assert_eq!(engine.report_counts().unwrap(), vec![3, 2, 2]);
+        assert_eq!(engine.merged().unwrap().counts(), vec![3, 2, 2]);
         assert_eq!(engine.estimated_means().unwrap(), vec![2.0, 1.0, 0.0]);
-    }
-
-    #[test]
-    fn merged_includes_pending_batches() {
-        // Capacity 100 means nothing ever auto-flushes.
-        let mut engine = IngestEngine::new(2, IngestConfig::new(2, 100).unwrap()).unwrap();
-        engine.submit(0, &report(&[(0, 1.0)])).unwrap();
-        engine.submit(1, &report(&[(1, 3.0)])).unwrap();
-        assert_eq!(
-            engine.shards().iter().map(|s| s.reports()).sum::<usize>(),
-            0
-        );
-        let merged = engine.merged().unwrap();
-        assert_eq!(merged.reports(), 2);
-        assert_eq!(merged.means().unwrap(), vec![1.0, 3.0]);
-        engine.flush().unwrap();
-        assert_eq!(
-            engine.shards().iter().map(|s| s.reports()).sum::<usize>(),
-            2
-        );
-        assert_eq!(engine.merged().unwrap(), merged);
     }
 
     #[test]
     fn bad_report_is_rejected_without_state_change() {
         let mut engine = IngestEngine::new(2, IngestConfig::new(2, 4).unwrap()).unwrap();
-        engine.submit(0, &report(&[(0, 1.0)])).unwrap();
-        assert!(engine.submit(1, &report(&[(9, 1.0)])).is_err());
+        ingest(&mut engine, &[vec![(0, 1.0)]]).unwrap();
+        let before = engine.merged().unwrap();
+        assert!(ingest(&mut engine, &[vec![(0, 1.0)], vec![(9, 1.0)]]).is_err());
         assert_eq!(engine.reports(), 1);
-    }
-
-    #[test]
-    fn ingest_partitioned_matches_serial_submit() {
-        let entries: Vec<Vec<(usize, f64)>> = (0..57)
-            .map(|i| vec![(i % 5, i as f64 * 0.25), ((i + 2) % 5, -(i as f64) * 0.5)])
-            .collect();
-        let config = IngestConfig::new(3, 4).unwrap();
-        let mut serial = IngestEngine::new(5, config).unwrap();
-        for (uid, e) in entries.iter().enumerate() {
-            serial.submit_entries(uid as u64, e).unwrap();
-        }
-        serial.flush().unwrap();
-        let mut parallel = IngestEngine::new(5, config).unwrap();
-        parallel
-            .ingest_partitioned(0..entries.len() as u64, |uid, out| {
-                out.extend_from_slice(&entries[uid as usize]);
-                Ok(())
-            })
-            .unwrap();
-        assert_eq!(serial.shards(), parallel.shards());
-        assert_eq!(
-            serial.estimated_means().unwrap(),
-            parallel.estimated_means().unwrap()
-        );
+        assert_eq!(engine.merged().unwrap(), before);
     }
 
     #[test]
     fn ingest_partitioned_error_leaves_engine_untouched() {
         let mut engine = IngestEngine::new(2, IngestConfig::new(2, 4).unwrap()).unwrap();
-        engine.submit(0, &report(&[(0, 1.0)])).unwrap();
+        ingest(&mut engine, &[vec![(0, 1.0)]]).unwrap();
         let before = engine.merged().unwrap();
         let result = engine.ingest_partitioned(0..10, |uid, out| {
             if uid == 7 {
@@ -918,23 +713,14 @@ mod tests {
     }
 
     #[test]
-    fn clear_resets_everything() {
-        let mut engine = IngestEngine::new(2, IngestConfig::new(2, 1).unwrap()).unwrap();
-        engine.submit(0, &report(&[(0, 1.0)])).unwrap();
-        engine.submit(1, &report(&[(1, 1.0)])).unwrap();
-        engine.clear();
-        assert_eq!(engine.reports(), 0);
-        assert_eq!(engine.shard_loads(), vec![0, 0]);
-    }
-
-    #[test]
     fn shard_loads_cover_all_reports() {
         let mut engine = IngestEngine::new(2, IngestConfig::new(4, 2).unwrap()).unwrap();
-        for uid in 0..37u64 {
-            engine.submit(uid, &report(&[(0, 1.0)])).unwrap();
-        }
-        let loads = engine.shard_loads();
-        assert_eq!(loads.len(), 4);
-        assert_eq!(loads.iter().sum::<usize>(), 37);
+        ingest(&mut engine, &vec![vec![(0, 1.0)]; 37]).unwrap();
+        let router = ShardRouter::new(4).unwrap();
+        let routed: Vec<usize> = (0..4)
+            .map(|shard| (0..37u64).filter(|&u| router.route(u) == shard).count())
+            .collect();
+        assert_eq!(engine.shard_loads(), routed);
+        assert_eq!(engine.reports(), 37);
     }
 }

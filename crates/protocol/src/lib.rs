@@ -18,11 +18,14 @@
 //!
 //! * [`budget`] — privacy-budget accounting and splitting.
 //! * [`client`] — user-side sampling and perturbation.
-//! * [`report`] — the wire format between users and the collector.
+//! * `report` (private) — the collector's check of one report: every
+//!   `(dimension, value)` entry names a dimension below `d` and carries a
+//!   finite value.
 //! * [`shard`] — hash-based shard routing and per-shard partial sums/counts.
 //! * [`ingest`] — the sharded, batched ingest engine (bounded report batches
 //!   flowing shard-locally, merge-on-read estimation): the collector's one
-//!   aggregation path, scaling to millions of users.
+//!   aggregation path and the one way a report enters it, scaling to
+//!   millions of users.
 //! * [`pipeline`] — one-call end-to-end mean estimation over a dataset,
 //!   running on the sharded engine, and [`user_seed`], the per-user seed
 //!   every collection derives its users' generators from.
@@ -39,7 +42,7 @@ pub mod frequency;
 pub mod ingest;
 pub mod metrics;
 pub mod pipeline;
-pub mod report;
+mod report;
 pub mod shard;
 pub mod telemetry;
 
@@ -47,10 +50,9 @@ pub use budget::BudgetSplit;
 pub use client::Client;
 pub use error::ProtocolError;
 pub use frequency::{normalize_frequencies, FrequencyEstimate, FrequencyPipeline};
-pub use ingest::{IngestConfig, IngestEngine, ReportBatch};
+pub use ingest::{IngestConfig, IngestEngine};
 pub use metrics::UtilityReport;
 pub use pipeline::{user_seed, MeanEstimate, MeanEstimationPipeline, PipelineConfig};
-pub use report::Report;
 pub use shard::{ShardAccumulator, ShardRouter};
 pub use telemetry::{IngestMetrics, PipelineMetrics};
 

@@ -1,45 +1,18 @@
-//! The report a user sends to the data collector.
+//! The collector's check of one user's report.
 //!
-//! A report contains the perturbed values of the `m` dimensions the user
-//! sampled. Only perturbed values leave the user's device (Definition 1 of
-//! the paper); the collector never sees raw data.
+//! A report carries the perturbed values of the `m` dimensions the user
+//! sampled, as `(dimension index, perturbed value)` entries. Only perturbed
+//! values leave the user's device (Definition 1 of the paper), so the
+//! collector never sees raw data, and it trusts nothing it receives: every
+//! report is checked before any of it is added to an estimate.
 
 use crate::ProtocolError;
-use serde::{Deserialize, Serialize};
-
-/// One user's perturbed report: `(dimension index, perturbed value)` pairs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Report {
-    entries: Vec<(usize, f64)>,
-}
-
-impl Report {
-    /// Build a report from `(dimension, perturbed value)` pairs.
-    pub fn new(entries: Vec<(usize, f64)>) -> Self {
-        Self { entries }
-    }
-
-    /// The `(dimension, value)` pairs.
-    pub fn entries(&self) -> &[(usize, f64)] {
-        &self.entries
-    }
-
-    /// Number of reported dimensions (the `m` of the protocol).
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// `true` when the report carries no entries.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-}
 
 /// Check one report's `(dimension, value)` entries against a `dims`-dimension
 /// collector: every dimension below `dims` and every value finite.
 ///
-/// The collector's single report check, shared by every push and accumulate
-/// path. The scan ORs each entry's verdict into one word with no early exit
+/// The collector's single report check, run by the one push into a shard
+/// batch. The scan ORs each entry's verdict into one word with no early exit
 /// and no data-dependent branch, so the compiler vectorises it; the first bad
 /// entry is looked up only on the error path.
 ///
@@ -90,21 +63,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn accessors() {
-        let r = Report::new(vec![(3, 0.5), (1, -0.2)]);
-        assert_eq!(r.len(), 2);
-        assert!(!r.is_empty());
-        assert_eq!(r.entries()[1], (1, -0.2));
-    }
-
-    #[test]
-    fn empty_report() {
-        let r = Report::new(vec![]);
-        assert!(r.is_empty());
-        assert_eq!(r.len(), 0);
-    }
-
-    #[test]
     fn check_entries_names_the_first_bad_entry() {
         assert_eq!(check_entries(&[], 2), Ok(()));
         assert_eq!(check_entries(&[(0, -1.5), (1, f64::MAX)], 2), Ok(()));
@@ -146,13 +104,5 @@ mod tests {
         for value in [negative_nan, quiet_nan, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(check_entries(&[(0, value)], 1).is_err(), "{value:e}");
         }
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let r = Report::new(vec![(0, 1.25), (7, -3.5)]);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: Report = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, r);
     }
 }

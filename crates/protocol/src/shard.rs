@@ -10,11 +10,11 @@
 //! partials — the sum of per-shard sums equals the global sum, so sharding is
 //! lossless for the naive aggregation the paper analyzes.
 //!
-//! [`crate::IngestEngine`] combines these pieces with bounded report batches
-//! into the full ingest path; this module holds the two building blocks.
+//! [`crate::IngestEngine`] combines these pieces with bounded, checked
+//! report batches into the collector's one ingest path; this module holds
+//! the two building blocks.
 
 use crate::ingest::ReportBatch;
-use crate::report::check_entries;
 use crate::ProtocolError;
 
 /// Routes reports to shards by hashing user ids.
@@ -86,7 +86,8 @@ impl DimPartial {
 /// A shard accumulator stores only what the naive estimator needs —
 /// `Σ t*_ij` and `r_j` per dimension — in one flat array of
 /// sum/count pairs, so the accumulate loop is one indexed read-modify-write
-/// per entry with no per-report allocation. Partial accumulators from
+/// per entry with no per-report allocation. Reports reach it only through
+/// the engine's checked report batches. Partial accumulators from
 /// different shards [`merge`] exactly: per-dimension sums and counts add
 /// componentwise.
 ///
@@ -142,48 +143,29 @@ impl ShardAccumulator {
         self.partials.iter().map(|p| p.count).collect()
     }
 
-    /// Accumulate one report given as `(dimension, value)` entries.
-    ///
-    /// # Errors
-    /// Returns [`ProtocolError::DimensionOutOfRange`] when an entry mentions a
-    /// dimension `>= dims` and [`ProtocolError::NonFiniteValue`] when a value
-    /// is NaN or infinite; the accumulator is untouched in both cases.
-    pub fn accumulate(&mut self, entries: &[(usize, f64)]) -> crate::Result<()> {
-        // Validate before mutating so a bad report is rejected atomically.
-        check_entries(entries, self.dims())?;
-        self.add(entries);
-        self.reports += 1;
-        Ok(())
-    }
-
-    /// Accumulate every report of a batch (the entries were already validated
-    /// against the batch's dimensionality when they were pushed).
+    /// Accumulate every report of a batch, adding its entries to their
+    /// dimensions' partials in entry order. The entries were checked against
+    /// the batch's dimensionality when they were pushed, so every dimension
+    /// is below `dims` and `get_mut` never misses; it keeps the loop free of
+    /// a panic path.
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when the batch was built for a
     /// different dimensionality.
     // The formatted mismatch error is built in the #[cold] helper below, so
     // this body never allocates.
-    pub fn ingest_batch(&mut self, batch: &ReportBatch) -> crate::Result<()> {
+    pub(crate) fn ingest_batch(&mut self, batch: &ReportBatch) -> crate::Result<()> {
         if batch.dims() != self.dims() {
             return Err(batch_dims_mismatch(batch.dims(), self.dims()));
         }
-        self.add(batch.flat_entries());
-        self.reports += batch.reports();
-        Ok(())
-    }
-
-    /// Add checked entries to their dimensions' partials, in entry order.
-    /// Every dimension is below `dims`, so `get_mut` never misses; it keeps
-    /// the loop free of a panic path.
-    #[inline]
-    fn add(&mut self, entries: &[(usize, f64)]) {
-        for &(dim, value) in entries {
+        for &(dim, value) in batch.flat_entries() {
             if let Some(partial) = self.partials.get_mut(dim) {
                 partial.sum += value;
                 partial.count += 1;
             }
         }
+        self.reports += batch.reports();
+        Ok(())
     }
 
     /// Merge another shard's partials into this one (exact: sums and counts
@@ -253,6 +235,28 @@ fn batch_dims_mismatch(batch_dims: usize, shard_dims: usize) -> ProtocolError {
 mod tests {
     use super::*;
 
+    /// An accumulator over `dims` dimensions holding `reports`, each pushed
+    /// through a checked batch as the engine pushes it; returns the push
+    /// results alongside.
+    fn accumulated(
+        dims: usize,
+        reports: &[&[(usize, f64)]],
+    ) -> (ShardAccumulator, Vec<crate::Result<()>>) {
+        let mut acc = ShardAccumulator::new(dims).unwrap();
+        let mut batch = ReportBatch::new(dims, reports.len().max(1)).unwrap();
+        let pushed = reports
+            .iter()
+            .map(|entries| {
+                batch.push_with(|out| {
+                    out.extend_from_slice(entries);
+                    Ok(())
+                })
+            })
+            .collect();
+        acc.ingest_batch(&batch).unwrap();
+        (acc, pushed)
+    }
+
     #[test]
     fn router_requires_positive_shard_count() {
         assert!(ShardRouter::new(0).is_err());
@@ -299,9 +303,7 @@ mod tests {
 
     #[test]
     fn accumulate_tracks_sums_and_counts() {
-        let mut acc = ShardAccumulator::new(3).unwrap();
-        acc.accumulate(&[(0, 1.0), (2, -1.0)]).unwrap();
-        acc.accumulate(&[(0, 3.0), (1, 0.5)]).unwrap();
+        let (acc, _) = accumulated(3, &[&[(0, 1.0), (2, -1.0)], &[(0, 3.0), (1, 0.5)]]);
         assert_eq!(acc.reports(), 2);
         assert_eq!(acc.sums(), &[4.0, 0.5, -1.0]);
         assert_eq!(acc.counts(), &[2, 1, 1]);
@@ -310,8 +312,8 @@ mod tests {
 
     #[test]
     fn out_of_range_dimension_is_rejected_atomically() {
-        let mut acc = ShardAccumulator::new(2).unwrap();
-        assert!(acc.accumulate(&[(0, 1.0), (5, 1.0)]).is_err());
+        let (acc, pushed) = accumulated(2, &[&[(0, 1.0), (5, 1.0)]]);
+        assert!(pushed[0].is_err());
         assert!(acc.is_empty());
         assert_eq!(acc.sums(), &[0.0, 0.0]);
         assert_eq!(acc.counts(), &[0, 0]);
@@ -319,12 +321,11 @@ mod tests {
 
     #[test]
     fn non_finite_value_is_rejected_atomically() {
-        let mut acc = ShardAccumulator::new(2).unwrap();
-        acc.accumulate(&[(0, 1.0)]).unwrap();
-        let before = acc.clone();
+        let (before, _) = accumulated(2, &[&[(0, 1.0)]]);
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let (acc, pushed) = accumulated(2, &[&[(0, 1.0)], &[(1, 2.0), (0, bad)]]);
             assert_eq!(
-                acc.accumulate(&[(1, 2.0), (0, bad)]),
+                pushed[1],
                 Err(ProtocolError::NonFiniteValue { dimension: 0 })
             );
             assert_eq!(acc, before);
@@ -333,8 +334,7 @@ mod tests {
 
     #[test]
     fn empty_dimension_is_an_error() {
-        let mut acc = ShardAccumulator::new(2).unwrap();
-        acc.accumulate(&[(0, 1.0)]).unwrap();
+        let (acc, _) = accumulated(2, &[&[(0, 1.0)]]);
         assert!(matches!(
             acc.means(),
             Err(ProtocolError::EmptyDimension { dimension: 1 })
@@ -343,11 +343,8 @@ mod tests {
 
     #[test]
     fn merge_adds_partials_exactly() {
-        let mut a = ShardAccumulator::new(2).unwrap();
-        a.accumulate(&[(0, 1.0), (1, 2.0)]).unwrap();
-        let mut b = ShardAccumulator::new(2).unwrap();
-        b.accumulate(&[(0, 3.0)]).unwrap();
-        b.accumulate(&[(1, 4.0)]).unwrap();
+        let (mut a, _) = accumulated(2, &[&[(0, 1.0), (1, 2.0)]]);
+        let (b, _) = accumulated(2, &[&[(0, 3.0)], &[(1, 4.0)]]);
         a.merge(&b).unwrap();
         assert_eq!(a.reports(), 3);
         assert_eq!(a.sums(), &[4.0, 6.0]);
@@ -366,8 +363,7 @@ mod tests {
 
     #[test]
     fn clear_resets_but_keeps_dims() {
-        let mut acc = ShardAccumulator::new(2).unwrap();
-        acc.accumulate(&[(0, 1.0), (1, 1.0)]).unwrap();
+        let (mut acc, _) = accumulated(2, &[&[(0, 1.0), (1, 1.0)]]);
         acc.clear();
         assert!(acc.is_empty());
         assert_eq!(acc.dims(), 2);

@@ -5,11 +5,12 @@
 //! All handles are cheap clones sharing atomic cells, so instrumented engines
 //! stay `Clone` and worker threads record into the same metrics. Bundles
 //! registered against [`Registry::disabled`] carry only no-op handles: every
-//! recording call is a single branch, nothing allocates, and the hot submit
-//! path is untouched (ingest counters are recorded at batch-flush granularity,
-//! not per report: a batch flushes at 256 reports or 64 KiB of entries,
-//! whichever comes first, that is at [`crate::IngestConfig::batch_capacity`]
-//! reports or 4,096 `(usize, f64)` entries).
+//! recording call is a single branch, nothing allocates, and the per-report
+//! push is untouched (ingest counters are recorded at batch-flush
+//! granularity, not per report: a batch flushes at 256 reports or 64 KiB of
+//! entries, whichever comes first, that is at
+//! [`crate::IngestConfig::batch_capacity`] reports or 4,096 `(usize, f64)`
+//! entries).
 //!
 //! Metric names are stable and documented in `docs/OBSERVABILITY.md`:
 //!
@@ -17,7 +18,6 @@
 //! |------|------|---------|
 //! | `ingest_reports_total` | counter | reports flushed into shard accumulators |
 //! | `ingest_entries_total` | counter | `(dimension, value)` entries flushed |
-//! | `ingest_rejects_total` | counter | reports `submit` rejected (bad dimension or non-finite value) |
 //! | `ingest_batch_flushes_total` | counter | batch drains into an accumulator |
 //! | `ingest_batch_flush_ns` | histogram | latency of one batch drain (sampled) |
 //! | `ingest_merges_total` | counter | merge-on-read operations |
@@ -47,15 +47,13 @@ pub const FLUSH_SAMPLE_EVERY: u64 = 8;
 /// Pre-registered handles for the sharded ingest engine.
 ///
 /// Counters advance when a batch drains into its shard accumulator (flush
-/// granularity), so the per-report submit path performs no atomic traffic.
+/// granularity), so the per-report push performs no atomic traffic.
 #[derive(Debug, Clone)]
 pub struct IngestMetrics {
     /// Reports flushed into shard accumulators (`ingest_reports_total`).
     pub reports: Counter,
     /// Entries flushed into shard accumulators (`ingest_entries_total`).
     pub entries: Counter,
-    /// Reports rejected by validation (`ingest_rejects_total`).
-    pub rejects: Counter,
     /// Batch drains into an accumulator (`ingest_batch_flushes_total`).
     pub batch_flushes: Counter,
     /// Latency of one batch drain (`ingest_batch_flush_ns`).
@@ -75,7 +73,6 @@ impl IngestMetrics {
         Self {
             reports: registry.counter("ingest_reports_total"),
             entries: registry.counter("ingest_entries_total"),
-            rejects: registry.counter("ingest_rejects_total"),
             batch_flushes: registry.counter("ingest_batch_flushes_total"),
             flush_ns: registry.histogram("ingest_batch_flush_ns"),
             merges: registry.counter("ingest_merges_total"),

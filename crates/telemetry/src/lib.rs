@@ -19,7 +19,7 @@
 //! The building blocks:
 //!
 //! * [`Counter`] — monotonically increasing `u64` (reports ingested, batches
-//!   flushed, rejects, ...).
+//!   flushed, merges, ...).
 //! * [`Gauge`] — an instantaneous `f64` (phase durations, shard skew, ...).
 //! * [`LatencyHistogram`] — log₂-bucketed duration distribution with
 //!   p50/p95/p99/max readout; feed it via [`LatencyHistogram::record_ns`] or

@@ -15,10 +15,33 @@
 
 use crate::telemetry::WorkloadMetrics;
 use crate::{CategoricalOracle, OracleEntryMechanism, OracleKind, Result, WorkloadError};
+use hdldp_core::{Hdr4me, Hdr4meConfig, LambdaSelector, Regularization};
 use hdldp_protocol::{user_seed, FrequencyEstimate, IngestConfig, IngestEngine};
 use hdldp_telemetry::Registry;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The HDR4ME re-calibrator of a categorical workload: `Some` with the
+/// `regularization` it is configured with, `None` without one. Its `λ*`
+/// weights use the deviation-supremum quantile `supremum_z`, which is checked
+/// either way, so a bad `z` fails the workload's construction even when it
+/// runs without re-calibration.
+///
+/// # Errors
+/// Returns [`WorkloadError::Core`] when `supremum_z` is not positive and
+/// finite.
+pub(crate) fn recalibrator(
+    regularization: Option<Regularization>,
+    supremum_z: f64,
+) -> Result<Option<Hdr4me>> {
+    let lambda = LambdaSelector::new(supremum_z, 0.05)?;
+    Ok(regularization.map(|regularization| {
+        Hdr4me::new(Hdr4meConfig {
+            regularization,
+            lambda,
+        })
+    }))
+}
 
 /// End-to-end frequency-oracle collection for one categorical dimension.
 #[derive(Debug, Clone)]
@@ -84,6 +107,30 @@ impl OraclePipeline {
     /// The run seed.
     pub fn seed(&self) -> u64 {
         self.seed
+    }
+
+    /// Post-process `estimate`, one of this pipeline's estimates, into the
+    /// frequency distribution a workload selects or queries on: HDR4ME
+    /// re-calibration with `hdr` against [`mechanism`](Self::mechanism),
+    /// timed into `workload_recalibrate_ns`, or clip-and-renormalize when
+    /// `hdr` is `None`.
+    ///
+    /// # Errors
+    /// Propagates re-calibration and normalization errors.
+    pub(crate) fn recalibrate_or_normalize(
+        &self,
+        estimate: &FrequencyEstimate,
+        hdr: Option<&Hdr4me>,
+    ) -> Result<Vec<f64>> {
+        match hdr {
+            Some(hdr) => {
+                let _timer = self.metrics.recalibrate_ns.start();
+                Ok(hdr
+                    .recalibrate_frequencies(estimate, 0, &self.mechanism())?
+                    .enhanced)
+            }
+            None => Ok(estimate.normalized(0)?),
+        }
     }
 
     /// Collect `values` (one categorical value in `[0, k)` per user) and

@@ -7,9 +7,9 @@
 //! a frequency threshold. Utility is reported as precision/recall/F1 against
 //! the empirical ground truth.
 
-use crate::collect::OraclePipeline;
+use crate::collect::{recalibrator, OraclePipeline};
 use crate::{OracleKind, Result, WorkloadError};
-use hdldp_core::{Hdr4me, Hdr4meConfig, LambdaSelector, Regularization};
+use hdldp_core::{Hdr4me, Regularization};
 use hdldp_protocol::FrequencyEstimate;
 use hdldp_telemetry::Registry;
 use rand::rngs::StdRng;
@@ -170,7 +170,7 @@ pub fn planted_dataset(
 pub struct HeavyHitterDetector {
     config: HeavyHitterConfig,
     pipeline: OraclePipeline,
-    metrics: crate::telemetry::WorkloadMetrics,
+    hdr: Option<Hdr4me>,
 }
 
 impl HeavyHitterDetector {
@@ -178,7 +178,8 @@ impl HeavyHitterDetector {
     ///
     /// # Errors
     /// Returns [`WorkloadError::InvalidConfig`] for invalid oracle parameters
-    /// or a degenerate selection rule (`TopK(0)`, non-finite threshold).
+    /// or a degenerate selection rule (`TopK(0)`, non-finite threshold), and
+    /// [`WorkloadError::Core`] when `supremum_z` is not positive and finite.
     pub fn new(config: HeavyHitterConfig) -> Result<Self> {
         Self::with_telemetry(config, &Registry::disabled())
     }
@@ -203,12 +204,7 @@ impl HeavyHitterDetector {
             }
             _ => {}
         }
-        if !(config.supremum_z.is_finite() && config.supremum_z > 0.0) {
-            return Err(WorkloadError::InvalidConfig {
-                name: "supremum_z",
-                reason: format!("must be positive and finite, got {}", config.supremum_z),
-            });
-        }
+        let hdr = recalibrator(config.recalibration, config.supremum_z)?;
         let pipeline = OraclePipeline::with_telemetry(
             config.kind,
             config.categories,
@@ -219,7 +215,7 @@ impl HeavyHitterDetector {
         Ok(Self {
             config,
             pipeline,
-            metrics: crate::telemetry::WorkloadMetrics::register(registry),
+            hdr,
         })
     }
 
@@ -238,20 +234,9 @@ impl HeavyHitterDetector {
     )]
     pub fn identify(&self, values: &[usize]) -> Result<HeavyHitterReport> {
         let estimate = self.pipeline.run(values)?;
-        let frequencies = match self.config.recalibration {
-            Some(reg) => {
-                let _timer = self.metrics.recalibrate_ns.start();
-                let lambda = LambdaSelector::new(self.config.supremum_z, 0.05)
-                    .map_err(WorkloadError::Core)?;
-                let hdr = Hdr4me::new(Hdr4meConfig {
-                    regularization: reg,
-                    lambda,
-                });
-                hdr.recalibrate_frequencies(&estimate, 0, &self.pipeline.mechanism())?
-                    .enhanced
-            }
-            None => estimate.normalized(0)?,
-        };
+        let frequencies = self
+            .pipeline
+            .recalibrate_or_normalize(&estimate, self.hdr.as_ref())?;
 
         let mut order: Vec<usize> = (0..frequencies.len()).collect();
         // Post-processed frequencies are finite; total_cmp gives the same
@@ -331,6 +316,16 @@ mod tests {
             ..base
         };
         assert!(HeavyHitterDetector::new(bad_threshold).is_err());
+        // A bad z is rejected even when nothing is re-calibrated.
+        let bad_z = HeavyHitterConfig {
+            rule: SelectionRule::TopK(3),
+            supremum_z: f64::NAN,
+            ..base
+        };
+        assert!(matches!(
+            HeavyHitterDetector::new(bad_z),
+            Err(WorkloadError::Core(_))
+        ));
     }
 
     #[test]

@@ -16,9 +16,9 @@
 //! children. Afterwards every parent equals the sum of its children exactly,
 //! so any dyadic decomposition of a range gives the same answer.
 
-use crate::collect::OraclePipeline;
+use crate::collect::{recalibrator, OraclePipeline};
 use crate::{OracleKind, Result, WorkloadError};
-use hdldp_core::{Hdr4me, Hdr4meConfig, LambdaSelector, Regularization};
+use hdldp_core::{Hdr4me, Regularization};
 use hdldp_protocol::BudgetSplit;
 use hdldp_telemetry::Registry;
 use std::ops::Range;
@@ -120,6 +120,7 @@ impl RangeTree {
 #[derive(Debug, Clone)]
 pub struct RangeWorkload {
     config: RangeQueryConfig,
+    hdr: Option<Hdr4me>,
     per_level_epsilon: f64,
     depth: usize,
     padded: usize,
@@ -132,7 +133,8 @@ impl RangeWorkload {
     ///
     /// # Errors
     /// Returns [`WorkloadError::InvalidConfig`] when `domain < 2` or the
-    /// budget split is invalid.
+    /// budget split is invalid, and [`WorkloadError::Core`] when
+    /// `supremum_z` is not positive and finite.
     pub fn new(config: RangeQueryConfig) -> Result<Self> {
         Self::with_telemetry(config, &Registry::disabled())
     }
@@ -151,12 +153,7 @@ impl RangeWorkload {
                 ),
             });
         }
-        if !(config.supremum_z.is_finite() && config.supremum_z > 0.0) {
-            return Err(WorkloadError::InvalidConfig {
-                name: "supremum_z",
-                reason: format!("must be positive and finite, got {}", config.supremum_z),
-            });
-        }
+        let hdr = recalibrator(config.recalibration, config.supremum_z)?;
         let padded = config.domain.next_power_of_two();
         let depth = padded.trailing_zeros() as usize;
         let per_level_epsilon = BudgetSplit::new(config.epsilon, 1)
@@ -164,6 +161,7 @@ impl RangeWorkload {
             .map_err(WorkloadError::Protocol)?;
         Ok(Self {
             config,
+            hdr,
             per_level_epsilon,
             depth,
             padded,
@@ -216,21 +214,7 @@ impl RangeWorkload {
             )?;
             let memberships: Vec<usize> = values.iter().map(|&v| v / width).collect();
             let estimate = pipeline.run(&memberships)?;
-            let freqs = match self.config.recalibration {
-                Some(reg) => {
-                    let _timer = self.metrics.recalibrate_ns.start();
-                    let lambda = LambdaSelector::new(self.config.supremum_z, 0.05)
-                        .map_err(WorkloadError::Core)?;
-                    let hdr = Hdr4me::new(Hdr4meConfig {
-                        regularization: reg,
-                        lambda,
-                    });
-                    hdr.recalibrate_frequencies(&estimate, 0, &pipeline.mechanism())?
-                        .enhanced
-                }
-                None => estimate.normalized(0)?,
-            };
-            levels.push(freqs);
+            levels.push(pipeline.recalibrate_or_normalize(&estimate, self.hdr.as_ref())?);
         }
 
         let _timer = self.metrics.consistency_ns.start();

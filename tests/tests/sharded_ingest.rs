@@ -12,12 +12,17 @@
 //! batch flushes at its report capacity or at 4,096 entries, and where it
 //! flushes never moves a sum.
 //!
+//! Every oracle here is test-local and shares no code with the engine: a
+//! plain loop over the reports, the same loop run per shard over the users
+//! `ShardRouter` sends there, and Welford running means.
+//!
 //! The last tests treat reports as untrusted: a report carrying NaN or ±∞
-//! is rejected on both ingest paths without touching the engine, as is a
-//! bulk `fill` that clears the batch buffer it is handed, and the bulk
-//! path's telemetry counts match the serial path's.
+//! fails the bulk call without touching the engine, as does a `fill` that
+//! clears the batch buffer it is handed, and the telemetry counts equal the
+//! reports, entries and flushes of the routed workload exactly.
 
 use hdldp_math::RunningMoments;
+use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
 use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError, ShardRouter};
 use hdldp_telemetry::Registry;
 use proptest::prelude::*;
@@ -83,6 +88,27 @@ fn full_mantissa_reports(dims: usize, widths: &[usize], seed: u64) -> Vec<Vec<(u
         .collect()
 }
 
+/// Ingest `reports` into `engine` in one bulk call, user `u` sending
+/// `reports[u]`.
+fn ingest_all(engine: &mut IngestEngine, reports: &[Vec<(usize, f64)>]) {
+    engine
+        .ingest_partitioned(0..reports.len() as u64, |user, out| {
+            out.extend_from_slice(&reports[user as usize]);
+            Ok(())
+        })
+        .unwrap();
+}
+
+/// How many of `users` users `ShardRouter` sends to each of `shards` shards.
+fn routed_loads(shards: usize, users: usize) -> Vec<usize> {
+    let router = ShardRouter::new(shards).unwrap();
+    let mut loads = vec![0usize; shards];
+    for user in 0..users as u64 {
+        loads[router.route(user)] += 1;
+    }
+    loads
+}
+
 /// Each shard's sums over its users' reports in increasing user id, then
 /// added across shards in shard order: the bulk path's summation order.
 fn shard_serial_sums(
@@ -127,10 +153,7 @@ proptest! {
         for capacity in [1, 3, 256] {
             let config = IngestConfig::new(shards, capacity).unwrap();
             let mut engine = IngestEngine::new(dims, config).unwrap();
-            engine.ingest_partitioned(0..reports.len() as u64, |user, out| {
-                out.extend_from_slice(&reports[user as usize]);
-                Ok(())
-            }).unwrap();
+            ingest_all(&mut engine, &reports);
             let merged = engine.merged().unwrap();
             prop_assert_eq!(bits(&merged.sums()), bits(&sums), "capacity {}", capacity);
             prop_assert_eq!(merged.counts(), counts.clone(), "capacity {}", capacity);
@@ -140,7 +163,8 @@ proptest! {
 
     /// On exact-addition inputs, the sharded engine reproduces the
     /// single-loop sums and counts bit-for-bit for every shard count and
-    /// batch capacity — including shard counts far above the report count.
+    /// batch capacity — including shard counts far above the report count —
+    /// and each shard holds exactly the users routed to it.
     #[test]
     fn sharded_merge_equals_single_loop_bit_for_bit(
         population in (1usize..12).prop_flat_map(|dims| (Just(dims), dyadic_reports(dims))),
@@ -149,36 +173,13 @@ proptest! {
     ) {
         let (dims, reports) = population;
         let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, batch_capacity).unwrap()).unwrap();
-        for (user, entries) in reports.iter().enumerate() {
-            engine.submit_entries(user as u64, entries).unwrap();
-        }
+        ingest_all(&mut engine, &reports);
         let merged = engine.merged().unwrap();
         let (sums, counts) = single_loop_sums(dims, &reports);
         prop_assert_eq!(merged.sums(), sums);
         prop_assert_eq!(merged.counts(), counts);
         prop_assert_eq!(merged.reports(), reports.len());
-    }
-
-    /// The parallel bulk path is bit-for-bit identical to serial submission
-    /// on the same engine configuration, for arbitrary shard counts.
-    #[test]
-    fn parallel_bulk_ingest_matches_serial_submission(
-        population in (1usize..12).prop_flat_map(|dims| (Just(dims), dyadic_reports(dims))),
-        shards in 1usize..6,
-    ) {
-        let (dims, reports) = population;
-        let config = IngestConfig::new(shards, 3).unwrap();
-        let mut serial = IngestEngine::new(dims, config).unwrap();
-        for (user, entries) in reports.iter().enumerate() {
-            serial.submit_entries(user as u64, entries).unwrap();
-        }
-        let mut bulk = IngestEngine::new(dims, config).unwrap();
-        bulk.ingest_partitioned(0..reports.len() as u64, |user, out| {
-            out.extend_from_slice(&reports[user as usize]);
-            Ok(())
-        }).unwrap();
-        prop_assert_eq!(serial.merged().unwrap(), bulk.merged().unwrap());
-        prop_assert_eq!(serial.shard_loads(), bulk.shard_loads());
+        prop_assert_eq!(engine.shard_loads(), routed_loads(shards, reports.len()));
     }
 
     /// On arbitrary floats the sharded estimate agrees with a Welford
@@ -194,12 +195,10 @@ proptest! {
             .map(|chunk| chunk.iter().enumerate().map(|(dim, &v)| (dim, v)).collect())
             .collect();
         let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, 4).unwrap()).unwrap();
+        ingest_all(&mut engine, &reports);
         let mut welford = vec![RunningMoments::new(); dims];
-        for (user, entries) in reports.iter().enumerate() {
-            engine.submit_entries(user as u64, entries).unwrap();
-            for &(dim, value) in entries {
-                welford[dim].push(value);
-            }
+        for &(dim, value) in reports.iter().flatten() {
+            welford[dim].push(value);
         }
         // Only the full leading chunks cover every dimension; skip configs
         // where some dimension got no reports.
@@ -228,8 +227,7 @@ fn empty_engine_reports_empty_dimensions() {
 #[test]
 fn more_shards_than_reports_leaves_idle_shards_harmless() {
     let mut engine = IngestEngine::new(2, IngestConfig::new(16, 4).unwrap()).unwrap();
-    engine.submit_entries(0, &[(0, 1.0), (1, -0.5)]).unwrap();
-    engine.submit_entries(1, &[(0, 3.0)]).unwrap();
+    ingest_all(&mut engine, &[vec![(0, 1.0), (1, -0.5)], vec![(0, 3.0)]]);
     let loads = engine.shard_loads();
     assert_eq!(loads.len(), 16);
     assert_eq!(loads.iter().sum::<usize>(), 2);
@@ -240,25 +238,24 @@ fn more_shards_than_reports_leaves_idle_shards_harmless() {
 
 #[test]
 fn batch_capacity_one_flushes_every_report() {
-    let mut tight = IngestEngine::new(2, IngestConfig::new(3, 1).unwrap()).unwrap();
+    let reports: Vec<Vec<(usize, f64)>> = (0..50)
+        .map(|user| vec![(0, 0.25), (user % 2, -0.5)])
+        .collect();
+    let registry = Registry::new();
+    let mut tight =
+        IngestEngine::with_telemetry(2, IngestConfig::new(3, 1).unwrap(), &registry).unwrap();
     let mut roomy = IngestEngine::new(2, IngestConfig::new(3, 64).unwrap()).unwrap();
-    for user in 0..50u64 {
-        let entries = [(0, 0.25), ((user % 2) as usize, -0.5)];
-        tight.submit_entries(user, &entries).unwrap();
-        roomy.submit_entries(user, &entries).unwrap();
-    }
-    // With capacity 1 nothing is ever pending; with 64 everything still is.
-    assert_eq!(tight.shard_loads().iter().sum::<usize>(), 50);
-    assert_eq!(tight.merged().unwrap(), roomy.merged().unwrap());
-    roomy.flush().unwrap();
+    ingest_all(&mut tight, &reports);
+    ingest_all(&mut roomy, &reports);
+    let flushes = registry.snapshot().counter("ingest_batch_flushes_total");
+    assert_eq!(flushes, Some(50));
     assert_eq!(tight.merged().unwrap(), roomy.merged().unwrap());
 }
 
 #[test]
 fn reports_without_entries_count_as_reports_but_not_samples() {
     let mut engine = IngestEngine::new(2, IngestConfig::new(2, 4).unwrap()).unwrap();
-    engine.submit_entries(0, &[]).unwrap();
-    engine.submit_entries(1, &[(1, 1.0)]).unwrap();
+    ingest_all(&mut engine, &[vec![], vec![(1, 1.0)]]);
     let merged = engine.merged().unwrap();
     assert_eq!(merged.reports(), 2);
     assert_eq!(merged.counts(), &[0, 1]);
@@ -276,61 +273,19 @@ fn honest_reports() -> Vec<Vec<(usize, f64)>> {
         .collect()
 }
 
-/// An engine over 3 dimensions holding the first 40 honest reports, all
-/// flushed, so a bulk call that flushes first leaves its state as it is.
-fn engine_with_flushed_reports(honest: &[Vec<(usize, f64)>]) -> IngestEngine {
+/// An engine over 3 dimensions holding the first 40 honest reports.
+fn engine_with_honest_reports(honest: &[Vec<(usize, f64)>]) -> IngestEngine {
     let mut engine = IngestEngine::new(3, IngestConfig::new(3, 16).unwrap()).unwrap();
-    for (user, entries) in honest.iter().enumerate().take(40) {
-        engine.submit_entries(user as u64, entries).unwrap();
-    }
-    engine.flush().unwrap();
+    ingest_all(&mut engine, &honest[..40]);
     engine
 }
 
 const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 
 #[test]
-fn submit_rejects_a_non_finite_report_and_the_estimate_keeps_its_bits() {
-    let honest = honest_reports();
-    let config = IngestConfig::new(3, 16).unwrap();
-    let mut reference = IngestEngine::new(3, config).unwrap();
-    for (user, entries) in honest.iter().enumerate() {
-        reference.submit_entries(user as u64, entries).unwrap();
-    }
-    let bits = |engine: &IngestEngine| -> Vec<u64> {
-        let means = engine.estimated_means().unwrap();
-        means.iter().map(|mean| mean.to_bits()).collect()
-    };
-    for bad in NON_FINITE {
-        let registry = Registry::new();
-        let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
-        for (user, entries) in honest.iter().enumerate() {
-            if user == 500 {
-                // One extra user, whose report is honest but for one entry.
-                let rejected = engine.submit_entries(honest.len() as u64, &[(1, 0.5), (0, bad)]);
-                assert_eq!(
-                    rejected,
-                    Err(ProtocolError::NonFiniteValue { dimension: 0 }),
-                    "{bad}"
-                );
-            }
-            engine.submit_entries(user as u64, entries).unwrap();
-        }
-        let snapshot = registry.snapshot();
-        assert_eq!(snapshot.counter("ingest_rejects_total"), Some(1), "{bad}");
-        assert_eq!(
-            engine.merged().unwrap(),
-            reference.merged().unwrap(),
-            "{bad}"
-        );
-        assert_eq!(bits(&engine), bits(&reference), "{bad}");
-    }
-}
-
-#[test]
 fn ingest_partitioned_rejects_a_non_finite_report_and_leaves_the_engine_untouched() {
     let honest = honest_reports();
-    let mut engine = engine_with_flushed_reports(&honest);
+    let mut engine = engine_with_honest_reports(&honest);
     let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
     for bad in NON_FINITE {
         let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
@@ -353,7 +308,7 @@ fn ingest_partitioned_rejects_a_non_finite_report_and_leaves_the_engine_untouche
 #[test]
 fn a_fill_that_clears_its_buffer_fails_the_call_and_leaves_the_engine_untouched() {
     let honest = honest_reports();
-    let mut engine = engine_with_flushed_reports(&honest);
+    let mut engine = engine_with_honest_reports(&honest);
     let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
     // Earlier reports of user 500's batch are in the buffer it is handed.
     let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
@@ -375,46 +330,51 @@ fn a_fill_that_clears_its_buffer_fails_the_call_and_leaves_the_engine_untouched(
 }
 
 #[test]
-fn ingest_partitioned_counts_what_serial_submit_and_flush_count() {
+fn ingest_partitioned_counts_every_report_entry_and_flush() {
     let honest = honest_reports();
+    // Users send 0 to 3 entries in turn, so no batch nears 4,096 entries
+    // and each fills at its report capacity.
+    let entries: u64 = honest.iter().map(|report| report.len() as u64).sum();
+    assert_eq!(entries, 1_500);
     for shards in [1, 2, 3] {
+        let loads = routed_loads(shards, honest.len());
         for capacity in [1, 7, 256] {
             let config = IngestConfig::new(shards, capacity).unwrap();
-            let serial_registry = Registry::new();
-            let mut serial = IngestEngine::with_telemetry(3, config, &serial_registry).unwrap();
-            for (user, entries) in honest.iter().enumerate() {
-                serial.submit_entries(user as u64, entries).unwrap();
-            }
-            serial.flush().unwrap();
-            let bulk_registry = Registry::new();
-            let mut bulk = IngestEngine::with_telemetry(3, config, &bulk_registry).unwrap();
-            bulk.ingest_partitioned(0..honest.len() as u64, |user, out| {
-                out.extend_from_slice(&honest[user as usize]);
-                Ok(())
-            })
-            .unwrap();
+            let registry = Registry::new();
+            let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
+            ingest_all(&mut engine, &honest);
 
             let at = format!("{shards} shards, capacity {capacity}");
-            let (serial_counts, bulk_counts) =
-                (serial_registry.snapshot(), bulk_registry.snapshot());
-            let mut names = [
-                "ingest_reports_total",
-                "ingest_entries_total",
-                "ingest_batch_flushes_total",
-            ]
-            .map(String::from)
-            .to_vec();
-            names.extend((0..shards).map(|shard| format!("ingest_shard{shard:03}_reports_total")));
-            for name in &names {
-                let count = bulk_counts.counter(name);
-                assert_eq!(count, serial_counts.counter(name), "{name}, {at}");
-                assert!(count.is_some_and(|count| count > 0), "{name}, {at}");
+            let snapshot = registry.snapshot();
+            let users = honest.len() as u64;
+            assert_eq!(
+                snapshot.counter("ingest_reports_total"),
+                Some(users),
+                "{at}"
+            );
+            assert_eq!(
+                snapshot.counter("ingest_entries_total"),
+                Some(entries),
+                "{at}"
+            );
+            for (shard, &load) in loads.iter().enumerate() {
+                let name = format!("ingest_shard{shard:03}_reports_total");
+                assert_eq!(snapshot.counter(&name), Some(load as u64), "{name}, {at}");
             }
-            let timed = bulk_counts
+            let flushes: u64 = loads
+                .iter()
+                .map(|&load| load.div_ceil(capacity) as u64)
+                .sum();
+            assert_eq!(
+                snapshot.counter("ingest_batch_flushes_total"),
+                Some(flushes),
+                "{at}"
+            );
+            let timed = snapshot
                 .histogram("ingest_batch_flush_ns")
                 .map_or(0, |h| h.count);
-            assert!(timed >= 1, "no flush was timed, {at}");
-            assert_eq!(bulk.merged().unwrap(), serial.merged().unwrap(), "{at}");
+            assert_eq!(timed, flushes.div_ceil(FLUSH_SAMPLE_EVERY), "{at}");
+            assert_eq!(engine.shard_loads(), loads, "{at}");
         }
     }
 }

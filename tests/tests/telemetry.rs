@@ -24,9 +24,7 @@ use hdldp_integration_tests::test_rng;
 use hdldp_math::ErfCache;
 use hdldp_mechanisms::MechanismKind;
 use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
-use hdldp_protocol::{
-    IngestConfig, IngestEngine, MeanEstimationPipeline, PipelineConfig, Report, ShardAccumulator,
-};
+use hdldp_protocol::{IngestConfig, IngestEngine, MeanEstimationPipeline, PipelineConfig};
 use hdldp_telemetry::Registry;
 
 thread_local! {
@@ -220,38 +218,7 @@ fn enabled_hot_path_does_not_allocate_per_record() {
 }
 
 #[test]
-fn accumulate_submit_and_erf_do_not_allocate_once_warm() {
-    let entries = [(1usize, 0.5), (3, -0.25), (7, 1.0)];
-
-    let mut shard = ShardAccumulator::new(8).unwrap();
-    shard.accumulate(&entries).unwrap();
-    let (allocations, ()) = allocations_during(|| {
-        for _ in 0..1_000 {
-            shard.accumulate(&entries).unwrap();
-        }
-    });
-    assert_eq!(allocations, 0, "ShardAccumulator::accumulate allocated");
-
-    // One shard, so every flush runs inline on this thread. The first batch
-    // grows the batch buffers; every later one reuses them.
-    let registry = Registry::new();
-    let mut engine =
-        IngestEngine::with_telemetry(8, IngestConfig::new(1, 16).unwrap(), &registry).unwrap();
-    for user in 0..16 {
-        engine.submit_entries(user, &entries).unwrap();
-    }
-    let (allocations, ()) = allocations_during(|| {
-        for user in 16..1_016 {
-            engine.submit_entries(user, &entries).unwrap();
-        }
-    });
-    assert_eq!(allocations, 0, "IngestEngine::submit_entries allocated");
-    assert_eq!(
-        registry.snapshot().counter("ingest_batch_flushes_total"),
-        Some(63),
-        "the counted calls must span batch flushes"
-    );
-
+fn erf_does_not_allocate_once_warm() {
     let mut cache = ErfCache::new();
     cache.erf(0.5);
     let (allocations, ()) = allocations_during(|| {
@@ -275,21 +242,19 @@ fn instrumented_engine_counts_match_the_workload() {
     let config = IngestConfig::new(4, 64).unwrap();
     let mut engine = IngestEngine::with_telemetry(dims, config, &registry).unwrap();
 
-    for user in 0..users {
-        let report = Report::new(vec![
-            ((user as usize) % dims, 1.0),
-            ((user as usize * 7) % dims, -1.0),
-        ]);
-        engine.submit(user, &report).unwrap();
-    }
-    engine.flush().unwrap();
+    engine
+        .ingest_partitioned(0..users, |user, out| {
+            out.push(((user as usize) % dims, 1.0));
+            out.push(((user as usize * 7) % dims, -1.0));
+            Ok(())
+        })
+        .unwrap();
     let merged = engine.merged().unwrap();
     assert_eq!(merged.reports(), users as usize);
 
     let snapshot = registry.snapshot();
     assert_eq!(snapshot.counter("ingest_reports_total"), Some(users));
     assert_eq!(snapshot.counter("ingest_entries_total"), Some(users * 2));
-    assert_eq!(snapshot.counter("ingest_rejects_total"), Some(0));
     assert_eq!(snapshot.counter("ingest_merges_total"), Some(1));
 
     // The per-shard counters partition the total exactly.
@@ -302,12 +267,12 @@ fn instrumented_engine_counts_match_the_workload() {
     assert_eq!(shard_sum, users);
 
     // Every report went through a counted batch flush; the flush latency is
-    // sampled every FLUSH_SAMPLE_EVERY-th flush, which on this serial path is
-    // deterministic: flushes 0, 8, 16, ... read the clock.
+    // sampled every FLUSH_SAMPLE_EVERY-th flush, counted from 0 across the
+    // shard workers, so exactly ⌈flushes / FLUSH_SAMPLE_EVERY⌉ read the clock.
     let flushes = snapshot.counter("ingest_batch_flushes_total").unwrap();
     let flush_hist = snapshot.histogram("ingest_batch_flush_ns").unwrap();
     assert!(flushes > 0);
-    assert_eq!(flush_hist.count, flushes.div_ceil(8));
+    assert_eq!(flush_hist.count, flushes.div_ceil(FLUSH_SAMPLE_EVERY));
     assert_eq!(snapshot.histogram("ingest_merge_ns").unwrap().count, 1);
 }
 
@@ -333,22 +298,6 @@ fn parallel_flushes_are_sampled_exactly_one_in_flush_sample_every() {
         snapshot.histogram("ingest_batch_flush_ns").unwrap().count,
         users / FLUSH_SAMPLE_EVERY
     );
-}
-
-#[test]
-fn rejected_reports_are_counted_and_not_ingested() {
-    let registry = Registry::new();
-    let mut engine =
-        IngestEngine::with_telemetry(8, IngestConfig::new(2, 16).unwrap(), &registry).unwrap();
-
-    engine.submit_entries(0, &[(1usize, 0.5)]).unwrap();
-    // Dimension out of range: rejected before touching any batch.
-    assert!(engine.submit_entries(1, &[(99usize, 0.5)]).is_err());
-
-    engine.flush().unwrap();
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter("ingest_reports_total"), Some(1));
-    assert_eq!(snapshot.counter("ingest_rejects_total"), Some(1));
 }
 
 #[test]
