@@ -19,7 +19,7 @@ fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Reports
 }
 
 /// Bulk-ingest `reports` (user `u` sends `reports[u]`, copied into its shard
-/// batch) and read the merged per-dimension counts.
+/// worker's report buffer) and read the merged per-dimension counts.
 fn ingest_and_count(mut engine: IngestEngine, reports: &Reports) -> Vec<u64> {
     engine
         .ingest_partitioned(0..reports.len() as u64, |user, out| {
@@ -31,9 +31,9 @@ fn ingest_and_count(mut engine: IngestEngine, reports: &Reports) -> Vec<u64> {
 }
 
 fn bench_sharded_ingest(c: &mut Criterion) {
-    // Hash-route every report into its shard batch, drain the batches, and
-    // merge the per-shard partial sums into the final counts. Shard count is
-    // the swept parameter; `shards1` is the single-shard row.
+    // Hash-route every report to its shard, add it to that shard's partial
+    // sums, and merge the partials into the final counts. Shard count is the
+    // swept parameter; `shards1` is the single-shard row.
     let mut group = c.benchmark_group("sharded_ingest");
     let dims = 1_000usize;
     for &count in &[10_000usize, 1_000_000] {
@@ -59,7 +59,8 @@ fn bench_sharded_ingest_telemetry(c: &mut Criterion) {
     // The exact workload of `sharded_ingest` with a *live* telemetry registry
     // attached to the engine. Comparing the two group's means at matched
     // (shards, n) parameters is the observability overhead budget check:
-    // flush-granularity recording must stay within 2% of the plain path.
+    // recording once per shard per call must stay within 2% of the plain
+    // path.
     let mut group = c.benchmark_group("sharded_ingest_telemetry");
     let dims = 1_000usize;
     for &count in &[10_000usize, 1_000_000] {

@@ -68,8 +68,9 @@ fn bench_estimate(c: &mut Criterion) {
 }
 
 /// `OraclePipeline::run` over 2,000 users at k = 256, ε = 4, the
-/// `heavy_hitters` shape: every report is written into a shard batch,
-/// checked and accumulated. One shard keeps the row on one thread.
+/// `heavy_hitters` shape: every report is written into its shard worker's
+/// report buffer, checked and added to the shard's sums. One shard keeps the
+/// row on one thread.
 fn bench_collect(c: &mut Criterion) {
     const USERS: usize = 2_000;
     const K: usize = 256;

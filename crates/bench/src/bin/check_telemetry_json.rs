@@ -8,16 +8,13 @@
 //!
 //! Checks, per snapshot row: the JSON parses into the typed snapshot shape,
 //! the ingest counters are present and consistent (reports > 0, exactly one
-//! per-shard counter per shard summing to the total), the batch-flush and
-//! merge latency histograms recorded events, and the phase-duration gauges
-//! are positive. Two sampling identities must hold exactly: the flush
-//! histogram times one flush in every `FLUSH_SAMPLE_EVERY`, so it counts
-//! ⌈`ingest_batch_flushes_total` / `FLUSH_SAMPLE_EVERY`⌉ samples, and the
-//! merge histogram times every merge, so it counts `ingest_merges_total`.
-//! Exits non-zero with a diagnostic on the first violation.
+//! per-shard counter per shard summing to the total), the merge latency
+//! histogram recorded events, and the phase-duration gauges are positive.
+//! The merge histogram times every merge, so its sample count must equal
+//! `ingest_merges_total` exactly. Exits non-zero with a diagnostic on the
+//! first violation.
 
 use hdldp_bench::ShardTelemetryRow;
-use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
 
 fn check(rows: &[ShardTelemetryRow]) -> Result<(), String> {
     if rows.is_empty() {
@@ -53,34 +50,27 @@ fn check(rows: &[ShardTelemetryRow]) -> Result<(), String> {
             ));
         }
 
-        let flushes = snapshot
-            .counter("ingest_batch_flushes_total")
-            .ok_or(format!("{context}: missing ingest_batch_flushes_total"))?;
         let merges = snapshot
             .counter("ingest_merges_total")
             .ok_or(format!("{context}: missing ingest_merges_total"))?;
-        for (name, expected) in [
-            (
-                "ingest_batch_flush_ns",
-                flushes.div_ceil(FLUSH_SAMPLE_EVERY),
-            ),
-            ("ingest_merge_ns", merges),
-        ] {
-            let hist = snapshot
-                .histogram(name)
-                .ok_or(format!("{context}: missing histogram {name}"))?;
-            if hist.count == 0 {
-                return Err(format!("{context}: histogram {name} recorded nothing"));
-            }
-            if hist.count != expected {
-                return Err(format!(
-                    "{context}: histogram {name} counts {} samples, expected {expected}",
-                    hist.count
-                ));
-            }
-            if hist.max_ns < hist.p50_ns {
-                return Err(format!("{context}: histogram {name} has max < p50"));
-            }
+        let hist = snapshot
+            .histogram("ingest_merge_ns")
+            .ok_or(format!("{context}: missing histogram ingest_merge_ns"))?;
+        if hist.count == 0 {
+            return Err(format!(
+                "{context}: histogram ingest_merge_ns recorded nothing"
+            ));
+        }
+        if hist.count != merges {
+            return Err(format!(
+                "{context}: histogram ingest_merge_ns counts {} samples, expected {merges}",
+                hist.count
+            ));
+        }
+        if hist.max_ns < hist.p50_ns {
+            return Err(format!(
+                "{context}: histogram ingest_merge_ns has max < p50"
+            ));
         }
 
         for name in ["phase_ingest_seconds", "phase_estimate_seconds"] {
@@ -109,4 +99,79 @@ fn main() -> Result<(), Box<dyn std::error::Error + Send + Sync>> {
         rows.iter().map(|r| r.shards).collect::<Vec<_>>()
     );
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hdldp_telemetry::Registry;
+
+    /// A row as `million_user_ingest --telemetry` writes it: 1,000 reports
+    /// over 2 shards, one merge, and both phase gauges set.
+    fn row() -> ShardTelemetryRow {
+        let registry = Registry::new();
+        registry.counter("ingest_reports_total").add(1_000);
+        registry.counter("ingest_entries_total").add(8_000);
+        registry.counter("ingest_shard000_reports_total").add(493);
+        registry.counter("ingest_shard001_reports_total").add(507);
+        registry.counter("ingest_merges_total").inc();
+        registry.histogram("ingest_merge_ns").record_ns(1_500);
+        registry.gauge("phase_ingest_seconds").set(0.25);
+        registry.gauge("phase_estimate_seconds").set(0.01);
+        ShardTelemetryRow {
+            shards: 2,
+            snapshot: registry.snapshot(),
+        }
+    }
+
+    /// The value of counter `name` in `row`.
+    fn counter<'a>(row: &'a mut ShardTelemetryRow, name: &str) -> &'a mut u64 {
+        let counters = &mut row.snapshot.counters;
+        &mut counters.iter_mut().find(|c| c.name == name).unwrap().value
+    }
+
+    /// `check` on `row()` after `edit`, expecting a failure that mentions
+    /// `reason`.
+    fn fails(edit: impl FnOnce(&mut ShardTelemetryRow), reason: &str) {
+        let mut bad = row();
+        edit(&mut bad);
+        let err = check(&[bad]).unwrap_err();
+        assert!(err.contains(reason), "{err}");
+    }
+
+    #[test]
+    fn a_well_formed_row_passes() {
+        assert_eq!(check(&[row()]), Ok(()));
+        assert!(check(&[]).is_err());
+    }
+
+    #[test]
+    fn per_shard_counters_off_by_one_fail() {
+        for delta in [1, u64::MAX] {
+            fails(
+                |row| {
+                    let shard = counter(row, "ingest_shard000_reports_total");
+                    *shard = shard.wrapping_add(delta);
+                },
+                "per-shard counters sum to",
+            );
+        }
+        fails(|row| row.shards = 3, "expected 3 per-shard counters");
+    }
+
+    #[test]
+    fn a_merge_histogram_that_misses_a_merge_fails() {
+        fails(
+            |row| *counter(row, "ingest_merges_total") = 2,
+            "counts 1 samples, expected 2",
+        );
+    }
+
+    #[test]
+    fn a_nan_phase_gauge_fails() {
+        fails(
+            |row| row.snapshot.gauges[0].value = f64::NAN,
+            "gauge phase_estimate_seconds = NaN",
+        );
+    }
 }

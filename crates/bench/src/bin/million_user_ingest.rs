@@ -11,9 +11,9 @@
 //! ```
 //!
 //! With `--telemetry`, each run records into an `hdldp_telemetry::Registry`
-//! (per-shard report counters, batch-flush and merge latency histograms,
-//! phase-duration gauges); the per-run snapshots are printed as tables and
-//! written to `results/telemetry_million_user_ingest.json`.
+//! (report and entry counters, per-shard report counters, the merge latency
+//! histogram, phase-duration gauges); the per-run snapshots are printed as
+//! tables and written to `results/telemetry_million_user_ingest.json`.
 //!
 //! This is the ROADMAP item-1 driver: the collection protocol of Section
 //! III-B run at the user counts the paper's setting assumes, with the client

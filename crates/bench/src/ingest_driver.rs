@@ -14,7 +14,7 @@
 //!   the MSE of the sharded estimate against, at any population size.
 //!
 //! Users stream through [`hdldp_protocol::IngestEngine`]: hash-partitioned
-//! across shards, batched shard-locally, merged on read. The driver reports
+//! across shards, summed shard-locally, merged on read. The driver reports
 //! throughput (users and reports per second) alongside the estimate's MSE.
 
 use hdldp_mechanisms::{build_mechanism, MechanismKind};
@@ -38,8 +38,6 @@ pub struct IngestSimConfig {
     pub total_epsilon: f64,
     /// Number of ingest shards.
     pub shards: usize,
-    /// Reports buffered per shard between flushes.
-    pub batch_capacity: usize,
     /// The perturbation mechanism.
     pub mechanism: MechanismKind,
     /// Seed for the deterministic per-user randomness.
@@ -57,7 +55,6 @@ impl IngestSimConfig {
             reported_dims: 8,
             total_epsilon: 1.0,
             shards: rayon::current_num_threads().max(1),
-            batch_capacity: IngestConfig::DEFAULT_BATCH_CAPACITY,
             mechanism: MechanismKind::Laplace,
             seed: 42,
         }
@@ -79,8 +76,6 @@ pub struct IngestSimSummary {
     pub total_epsilon: f64,
     /// Number of ingest shards.
     pub shards: usize,
-    /// Reports buffered per shard between flushes.
-    pub batch_capacity: usize,
     /// Seed of the deterministic per-user randomness.
     pub seed: u64,
     /// Total reports ingested (= users).
@@ -165,7 +160,7 @@ pub fn simulate_ingest_with(
     let client = Client::new(mechanism.as_ref(), budget, config.dims)?;
     let mut engine = IngestEngine::with_telemetry(
         config.dims,
-        IngestConfig::new(config.shards, config.batch_capacity)?,
+        IngestConfig::new(config.shards, 256)?,
         registry,
     )?;
 
@@ -203,7 +198,6 @@ pub fn simulate_ingest_with(
         mechanism: config.mechanism.name().to_string(),
         total_epsilon: config.total_epsilon,
         shards: config.shards,
-        batch_capacity: config.batch_capacity,
         seed: config.seed,
         total_reports: merged.reports(),
         total_entries,
@@ -303,13 +297,12 @@ mod tests {
         let per_shard = snapshot.counter("ingest_shard000_reports_total").unwrap()
             + snapshot.counter("ingest_shard001_reports_total").unwrap();
         assert_eq!(per_shard, 2_000);
-        assert!(snapshot.histogram("ingest_batch_flush_ns").unwrap().count > 0);
+        assert_eq!(snapshot.counter("ingest_entries_total"), Some(2_000 * 2));
         assert!(snapshot.gauge("phase_ingest_seconds").unwrap() > 0.0);
         assert!(snapshot.gauge("phase_estimate_seconds").unwrap() > 0.0);
         assert!(summary.ingest_secs > 0.0 && summary.estimate_secs > 0.0);
         let total = summary.ingest_secs + summary.estimate_secs;
         assert!((summary.elapsed_secs - total).abs() < 1e-12);
-        assert_eq!(summary.batch_capacity, config.batch_capacity);
         assert_eq!(summary.seed, config.seed);
     }
 

@@ -22,7 +22,6 @@
 //! * [`histogram`] — fixed-bin empirical densities used to compare simulated
 //!   deviations against the CLT predictions (Figures 2 and 3).
 //! * [`vector`] — small dense-vector helpers (norms, differences).
-//! * [`quantile`] — order statistics on slices.
 
 pub mod cache;
 pub mod erf;
@@ -32,7 +31,6 @@ pub mod integrate;
 pub mod laplace;
 pub mod moments;
 pub mod normal;
-pub mod quantile;
 pub mod stats;
 pub mod vector;
 

@@ -176,16 +176,13 @@ impl FrequencyPipeline {
         let mut engine = IngestEngine::new(flat_dims, IngestConfig::PINNED)?;
         engine.ingest_partitioned(0..data.users() as u64, |user, out| {
             let mut rng = StdRng::seed_from_u64(user_seed(seed, user));
-            let start = out.len();
             sample_dims_into(&mut rng, dims, m, |_| 0.0, out);
-            expand_one_hot(out, start, &offsets, |j| {
+            expand_one_hot(out, &offsets, |j| {
                 data.value(user as usize, j).map_err(ProtocolError::from)
             })?;
             // One call perturbs the report's entries in order, drawing what
             // one `perturb` per entry would.
-            if let Some(report) = out.get_mut(start..) {
-                mechanism.perturb_entries(report, &mut rng);
-            }
+            mechanism.perturb_entries(out, &mut rng);
             Ok(())
         })?;
 
@@ -215,8 +212,8 @@ impl FrequencyPipeline {
     }
 }
 
-/// Replace the sampled categorical dimensions in `out[start..]` by their
-/// one-hot blocks over the flat index, in sample order: dimension `j` becomes
+/// Replace the sampled categorical dimensions in `report` by their one-hot
+/// blocks over the flat index, in sample order: dimension `j` becomes
 /// the entries `offsets[j]..offsets[j + 1]`, `1.0` at `category(j)` and `0.0`
 /// elsewhere.
 ///
@@ -224,8 +221,7 @@ impl FrequencyPipeline {
 /// least two categories, so the `k`-th block starts at or after position
 /// `k`, and each sampled dimension is read before its block can overwrite it.
 fn expand_one_hot(
-    out: &mut Vec<(usize, f64)>,
-    start: usize,
+    report: &mut Vec<(usize, f64)>,
     offsets: &[usize],
     category: impl Fn(usize) -> crate::Result<usize>,
 ) -> crate::Result<()> {
@@ -233,15 +229,9 @@ fn expand_one_hot(
         Some(&[lo, hi]) => lo..hi,
         _ => 0..0,
     };
-    let sampled = out.len().saturating_sub(start);
-    let width: usize = out
-        .get(start..)
-        .unwrap_or_default()
-        .iter()
-        .map(|&(j, _)| block(j).len())
-        .sum();
-    out.resize(start + width, (0, 0.0));
-    let report = out.get_mut(start..).unwrap_or_default();
+    let sampled = report.len();
+    let width: usize = report.iter().map(|&(j, _)| block(j).len()).sum();
+    report.resize(width, (0, 0.0));
     let mut end = width;
     for k in (0..sampled).rev() {
         let Some(&(j, _)) = report.get(k) else {

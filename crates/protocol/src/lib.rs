@@ -22,8 +22,8 @@
 //!   `(dimension, value)` entry names a dimension below `d` and carries a
 //!   finite value.
 //! * [`shard`] — hash-based shard routing and per-shard partial sums/counts.
-//! * [`ingest`] — the sharded, batched ingest engine (bounded report batches
-//!   flowing shard-locally, merge-on-read estimation): the collector's one
+//! * [`ingest`] — the sharded ingest engine (each report checked and added
+//!   shard-locally, merge-on-read estimation): the collector's one
 //!   aggregation path and the one way a report enters it, scaling to
 //!   millions of users.
 //! * [`pipeline`] — one-call end-to-end mean estimation over a dataset,

@@ -146,15 +146,34 @@ impl MeanEstimationPipeline {
     /// [`ProtocolError::EmptyDimension`] in the (vanishingly unlikely at
     /// realistic scales) event that some dimension received no report.
     pub fn run(&self, dataset: &Dataset) -> crate::Result<MeanEstimate> {
+        self.run_seeded(dataset, self.config.seed)
+    }
+
+    /// Run the pipeline `trials` times with distinct seeds and return every
+    /// estimate (used by the experiment harness to average MSE over
+    /// repetitions, as the paper does). Trial `t` runs as [`run`](Self::run)
+    /// does with the configured seed plus `t`.
+    ///
+    /// # Errors
+    /// Propagates the first error from any trial.
+    pub fn run_trials(&self, dataset: &Dataset, trials: usize) -> crate::Result<Vec<MeanEstimate>> {
+        (0..trials)
+            .map(|t| self.run_seeded(dataset, self.config.seed.wrapping_add(t as u64)))
+            .collect()
+    }
+
+    /// One collection over `dataset` whose users derive their generators
+    /// from `seed`: the run behind [`run`](Self::run) and
+    /// [`run_trials`](Self::run_trials).
+    fn run_seeded(&self, dataset: &Dataset, seed: u64) -> crate::Result<MeanEstimate> {
         self.metrics.runs.inc();
         let dims = dataset.dims();
         let budget = BudgetSplit::new(self.config.total_epsilon, self.config.reported_dims)?;
         let client = Client::new(self.mechanism.as_ref(), budget, dims)?;
 
         // Users are hash-partitioned across one ingest shard per worker
-        // thread; each shard batches its reports locally and the partial
+        // thread; each shard sums its reports locally and the partial
         // sums/counts are merged on read (exact).
-        let seed = self.config.seed;
         let perturb_ns = self.metrics.perturb_ns.clone();
         // Only read the clock when the histogram actually records, and even
         // then only for every PERTURB_SAMPLE_EVERY-th user, so timing stays
@@ -188,33 +207,6 @@ impl MeanEstimationPipeline {
         };
         estimate_timer.stop();
         Ok(estimate)
-    }
-
-    /// Run the pipeline `trials` times with distinct seeds and return every
-    /// estimate (used by the experiment harness to average MSE over
-    /// repetitions, as the paper does).
-    ///
-    /// # Errors
-    /// Propagates the first error from any trial.
-    pub fn run_trials(&self, dataset: &Dataset, trials: usize) -> crate::Result<Vec<MeanEstimate>> {
-        (0..trials)
-            .map(|t| {
-                let mut config = self.config;
-                config.seed = self.config.seed.wrapping_add(t as u64);
-                let pipeline = MeanEstimationPipeline {
-                    mechanism: build_mechanism(
-                        self.kind,
-                        BudgetSplit::new(config.total_epsilon, config.reported_dims)?
-                            .per_dimension(),
-                    )?,
-                    kind: self.kind,
-                    config,
-                    registry: self.registry.clone(),
-                    metrics: self.metrics.clone(),
-                };
-                pipeline.run(dataset)
-            })
-            .collect()
     }
 }
 
@@ -333,6 +325,11 @@ mod tests {
         assert_eq!(runs.len(), 3);
         assert_ne!(runs[0].estimated_means, runs[1].estimated_means);
         assert_ne!(runs[1].estimated_means, runs[2].estimated_means);
+        // Trial t is the run seeded with the configured seed plus t.
+        let second =
+            MeanEstimationPipeline::new(MechanismKind::Laplace, PipelineConfig::new(1.0, 2, 6))
+                .unwrap();
+        assert_eq!(runs[1], second.run(&data).unwrap());
     }
 
     #[test]

@@ -11,10 +11,10 @@ use crate::ProtocolError;
 /// Check one report's `(dimension, value)` entries against a `dims`-dimension
 /// collector: every dimension below `dims` and every value finite.
 ///
-/// The collector's single report check, run by the one push into a shard
-/// batch. The scan ORs each entry's verdict into one word with no early exit
-/// and no data-dependent branch, so the compiler vectorises it; the first bad
-/// entry is looked up only on the error path.
+/// The collector's single report check, run on every report before it is
+/// added to a shard's sums. The scan ORs each entry's verdict into one word
+/// with no early exit and no data-dependent branch, so the compiler
+/// vectorises it; the first bad entry is looked up only on the error path.
 ///
 /// # Errors
 /// Returns, for the first bad entry, [`ProtocolError::DimensionOutOfRange`]

@@ -18,25 +18,24 @@
 //!
 //! The building blocks:
 //!
-//! * [`Counter`] — monotonically increasing `u64` (reports ingested, batches
-//!   flushed, merges, ...).
+//! * [`Counter`] — monotonically increasing `u64` (reports ingested, entries,
+//!   merges, ...).
 //! * [`Gauge`] — an instantaneous `f64` (phase durations, shard skew, ...).
 //! * [`LatencyHistogram`] — log₂-bucketed duration distribution with
 //!   p50/p95/p99/max readout; feed it via [`LatencyHistogram::record_ns`] or
 //!   the RAII [`SpanTimer`] guard from [`LatencyHistogram::start`].
 //! * [`Registry`] — names and owns the metric cells, and snapshots everything
 //!   into a serializable [`TelemetrySnapshot`].
-//! * [`TelemetrySnapshot`] — a point-in-time copy with JSON
-//!   ([`TelemetrySnapshot::to_json`]), Prometheus-style text exposition
-//!   ([`TelemetrySnapshot::to_prometheus`]), and a human-readable table
-//!   ([`TelemetrySnapshot::render_table`]).
+//! * [`TelemetrySnapshot`] — a point-in-time copy that serializes with
+//!   `serde` (the bench binaries write it as JSON) and renders a
+//!   human-readable table ([`TelemetrySnapshot::render_table`]).
 //!
 //! ```
 //! use hdldp_telemetry::Registry;
 //!
 //! let registry = Registry::new();
 //! let reports = registry.counter("ingest_reports_total");
-//! let latency = registry.histogram("ingest_batch_flush_ns");
+//! let latency = registry.histogram("ingest_merge_ns");
 //!
 //! reports.add(256);
 //! {
@@ -45,7 +44,8 @@
 //!
 //! let snapshot = registry.snapshot();
 //! assert_eq!(snapshot.counter("ingest_reports_total"), Some(256));
-//! assert!(snapshot.to_prometheus().contains("ingest_reports_total 256"));
+//! assert_eq!(snapshot.histogram("ingest_merge_ns").map(|h| h.count), Some(1));
+//! assert!(snapshot.render_table().contains("ingest_reports_total"));
 //! ```
 
 #![expect(

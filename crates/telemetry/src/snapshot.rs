@@ -1,15 +1,11 @@
-//! Point-in-time metric snapshots and their export formats.
+//! Point-in-time metric snapshots.
 //!
 //! A [`TelemetrySnapshot`] is a plain serializable value detached from the
 //! live atomics: safe to ship across threads, write to disk, or diff between
-//! two points of a run. Three export formats are provided:
-//!
-//! * [`TelemetrySnapshot::to_json`] — machine-readable (the `results/
-//!   telemetry_*.json` files the bench binaries write);
-//! * [`TelemetrySnapshot::to_prometheus`] — Prometheus text exposition
-//!   (counters, gauges, and histograms as summaries with quantile labels);
-//! * [`TelemetrySnapshot::render_table`] — an aligned human-readable table
-//!   for terminal output.
+//! two points of a run. It derives `Serialize`/`Deserialize`, so the bench
+//! binaries write it as JSON (the `results/telemetry_*.json` files) with
+//! their other results, and [`TelemetrySnapshot::render_table`] renders an
+//! aligned human-readable table for terminal output.
 
 use serde::{Deserialize, Serialize};
 
@@ -79,19 +75,6 @@ pub fn format_ns(ns: f64) -> String {
     }
 }
 
-/// Map a metric name onto the Prometheus name charset (`[a-zA-Z0-9_:]`).
-fn prometheus_name(name: &str) -> String {
-    name.chars()
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == ':' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect()
-}
-
 impl TelemetrySnapshot {
     /// The snapshot with no metrics (what disabled registries produce).
     pub fn empty() -> Self {
@@ -123,40 +106,6 @@ impl TelemetrySnapshot {
     /// Look up a histogram summary by name.
     pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
         self.histograms.iter().find(|h| h.name == name)
-    }
-
-    /// Serialize to pretty-printed JSON.
-    ///
-    /// # Errors
-    /// Propagates serializer errors (cannot happen for this tree shape).
-    pub fn to_json(&self) -> Result<String, serde::Error> {
-        serde_json::to_string_pretty(self)
-    }
-
-    /// Render in the Prometheus text exposition format: counters and gauges
-    /// as single samples, histograms as summaries with `quantile` labels plus
-    /// `_sum`/`_count`/`_max` samples.
-    pub fn to_prometheus(&self) -> String {
-        let mut out = String::new();
-        for c in &self.counters {
-            let name = prometheus_name(&c.name);
-            out.push_str(&format!("# TYPE {name} counter\n{name} {}\n", c.value));
-        }
-        for g in &self.gauges {
-            let name = prometheus_name(&g.name);
-            out.push_str(&format!("# TYPE {name} gauge\n{name} {}\n", g.value));
-        }
-        for h in &self.histograms {
-            let name = prometheus_name(&h.name);
-            out.push_str(&format!("# TYPE {name} summary\n"));
-            for (q, v) in [("0.5", h.p50_ns), ("0.95", h.p95_ns), ("0.99", h.p99_ns)] {
-                out.push_str(&format!("{name}{{quantile=\"{q}\"}} {v}\n"));
-            }
-            out.push_str(&format!("{name}_sum {}\n", h.sum_ns));
-            out.push_str(&format!("{name}_count {}\n", h.count));
-            out.push_str(&format!("{name}_max {}\n", h.max_ns));
-        }
-        out
     }
 
     /// Render an aligned, human-readable table of every metric.
@@ -236,7 +185,7 @@ mod tests {
                 value: 0.53,
             }],
             histograms: vec![HistogramSnapshot {
-                name: "ingest_batch_flush_ns".into(),
+                name: "ingest_merge_ns".into(),
                 count: 3906,
                 sum_ns: 3_906_000,
                 mean_ns: 1000.0,
@@ -251,7 +200,7 @@ mod tests {
     #[test]
     fn json_round_trips() {
         let snapshot = sample();
-        let json = snapshot.to_json().unwrap();
+        let json = serde_json::to_string_pretty(&snapshot).unwrap();
         let back: TelemetrySnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snapshot);
     }
@@ -262,31 +211,9 @@ mod tests {
         assert_eq!(snapshot.counter("ingest_reports_total"), Some(1_000_000));
         assert_eq!(snapshot.counter("missing"), None);
         assert_eq!(snapshot.gauge("phase_ingest_seconds"), Some(0.53));
-        assert_eq!(
-            snapshot.histogram("ingest_batch_flush_ns").unwrap().count,
-            3906
-        );
+        assert_eq!(snapshot.histogram("ingest_merge_ns").unwrap().count, 3906);
         assert!(!snapshot.is_empty());
         assert!(TelemetrySnapshot::empty().is_empty());
-    }
-
-    #[test]
-    fn prometheus_exposition_has_types_and_quantiles() {
-        let text = sample().to_prometheus();
-        assert!(text.contains("# TYPE ingest_reports_total counter"));
-        assert!(text.contains("ingest_reports_total 1000000"));
-        assert!(text.contains("# TYPE phase_ingest_seconds gauge"));
-        assert!(text.contains("# TYPE ingest_batch_flush_ns summary"));
-        assert!(text.contains("ingest_batch_flush_ns{quantile=\"0.5\"} 1023"));
-        assert!(text.contains("ingest_batch_flush_ns_count 3906"));
-        assert!(text.contains("ingest_batch_flush_ns_max 3200"));
-    }
-
-    #[test]
-    fn prometheus_names_are_sanitized() {
-        let mut snapshot = sample();
-        snapshot.counters[0].name = "weird name-with.dots".into();
-        assert!(snapshot.to_prometheus().contains("weird_name_with_dots"));
     }
 
     #[test]
@@ -294,7 +221,7 @@ mod tests {
         let table = sample().render_table();
         assert!(table.contains("ingest_reports_total"));
         assert!(table.contains("phase_ingest_seconds"));
-        assert!(table.contains("ingest_batch_flush_ns"));
+        assert!(table.contains("ingest_merge_ns"));
         assert!(table.contains("p95"));
         assert!(table.contains("1.00us"), "{table}");
         assert!(TelemetrySnapshot::empty()

@@ -86,8 +86,8 @@ impl OraclePipeline {
         })
     }
 
-    /// Override the sharded-ingest configuration (shard count and batch
-    /// capacity). The default is [`IngestConfig::PINNED`].
+    /// Override the sharded-ingest configuration (its shard count). The
+    /// default is [`IngestConfig::PINNED`].
     pub fn with_ingest_config(mut self, config: IngestConfig) -> Self {
         self.ingest = config;
         self

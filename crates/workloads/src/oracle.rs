@@ -168,9 +168,8 @@ impl CategoricalOracle {
 
     /// Perturb one categorical value into calibrated one-hot entries,
     /// appending `(category, calibrated_bit)` for **all** `k` categories to
-    /// `out` (the dense layout the sharded ingest engine expects). Entries
-    /// already in `out` are left untouched, so `out` may be a shard batch's
-    /// buffer.
+    /// `out` (the dense layout the sharded ingest engine expects), after any
+    /// entries already there, which are left untouched.
     ///
     /// # Errors
     /// Returns [`WorkloadError::ValueOutOfDomain`] when `value >= k`.

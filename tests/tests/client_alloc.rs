@@ -1,18 +1,18 @@
 //! Heap allocations per user on the client path of
 //! `IngestEngine::ingest_partitioned`: once a call is warmed up, every
 //! further user sampled and perturbed by `Client::perturb_lazy_into`
-//! straight into its shard batch's entry buffer, and checked there, makes
-//! zero heap allocations, at the shapes the sampler keeps allocation-free
+//! straight into its shard worker's report buffer, checked there and added
+//! to the shard's sums, makes zero heap allocations, at the shapes the
+//! sampler keeps allocation-free
 //! (see `sample_dims_into` in `crates/protocol/src/client.rs`). The same
 //! holds for `FrequencyPipeline::run`, which samples through that sampler
 //! and expands each sampled dimension into its one-hot block in place.
 //!
 //! The allocator also tracks live heap bytes, so the same test bounds the
-//! collector's memory: a shard batch drains at 256 reports or 4,096 entries,
-//! whichever comes first, so the peak live heap of a bulk ingest of
-//! 4,096-entry reports stays far below one 256-report batch of them
-//! (16 MiB). Counting bytes, not the resident set, keeps that bound
-//! independent of the host.
+//! collector's memory: a shard worker holds one report at a time, so the
+//! peak live heap of a bulk ingest of 4,096-entry reports stays far below
+//! what buffering many of them would take (256 of them are 16 MiB). Counting
+//! bytes, not the resident set, keeps that bound independent of the host.
 //!
 //! The counters are process-wide, not thread-local: the vendored rayon runs
 //! each shard on a scoped thread, and a thread-local count would miss the
@@ -101,9 +101,9 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOC: CountingAllocator = CountingAllocator;
 
-/// Users every call ingests before the counted ones. Enough that each
-/// shard's batch reaches its steady size: reports are written in place in
-/// the batch, which grows until its first flush and keeps its buffers after.
+/// Users every call ingests before the counted ones. Enough that every
+/// shard's report buffer reaches its steady size: each worker reuses one
+/// buffer, which grows to the widest report it has held.
 const WARM_UP_USERS: u64 = 2_000;
 /// Users whose allocations are counted on top of the warm-up.
 const COUNTED_USERS: u64 = 2_000;
@@ -159,12 +159,12 @@ fn ingest_partitioned_client_path_allocates_nothing_per_user() {
         // One shard runs inline; on a host with two or more CPUs, two run on
         // the shim's scoped threads.
         for shards in [1, 2] {
-            let config = IngestConfig::new(shards, IngestConfig::DEFAULT_BATCH_CAPACITY).unwrap();
+            let config = IngestConfig::new(shards, 256).unwrap();
             let warm = ingest(&client, dims, config, WARM_UP_USERS);
             let loads = warm.engine.shard_loads();
             assert!(
-                loads.iter().all(|&load| load > config.batch_capacity()),
-                "the warm-up must fill every shard's batch: {loads:?}"
+                loads.iter().all(|&load| load > 0),
+                "the warm-up must reach every shard: {loads:?}"
             );
             let (warm, more) = (
                 warm.allocations,
@@ -181,8 +181,8 @@ fn ingest_partitioned_client_path_allocates_nothing_per_user() {
     // A frequency run allocates per dimension, never per user: the sparse
     // on-stack table, the dense pool below m = d, and every dimension at
     // m = d. Every dimension has four categories, so every report has the
-    // same width and a batch's entry buffer stops growing at its first
-    // flush.
+    // same width and a worker's report buffer stops growing at its first
+    // report.
     for (dims, m) in [(40, 8), (10, 7), (10, 10)] {
         let dataset = |users: u64| {
             let mut rng = StdRng::seed_from_u64(users);
@@ -206,17 +206,18 @@ fn ingest_partitioned_client_path_allocates_nothing_per_user() {
         );
     }
 
-    // Collector memory does not grow with the report width. Each of 4
-    // shards drains its batch after every 4,096-entry report, so a shard
-    // holds one report and one accumulator (64 KiB each) where a 256-report
-    // batch of such reports would grow to 16 MiB.
+    // Collector memory does not grow with the number of reports. Each of 4
+    // shards holds one 4,096-entry report and one accumulator (64 KiB each)
+    // where 256 buffered reports of that width would take 16 MiB.
     let dims = 4_096;
     let budget = BudgetSplit::new(1.0, dims).unwrap();
     let mechanism = LaplaceMechanism::new(budget.per_dimension()).unwrap();
     let client = Client::new(&mechanism, budget, dims).unwrap();
-    let config = IngestConfig::new(4, IngestConfig::DEFAULT_BATCH_CAPACITY).unwrap();
-    let wide = ingest(&client, dims, config, WARM_UP_USERS);
-    assert_eq!(wide.engine.reports(), WARM_UP_USERS as usize);
+    let wide = ingest(&client, dims, IngestConfig::PINNED, WARM_UP_USERS);
+    assert_eq!(
+        wide.engine.shard_loads().iter().sum::<usize>(),
+        WARM_UP_USERS as usize
+    );
     assert!(
         wide.peak_live_bytes < 2 << 20,
         "ingesting {WARM_UP_USERS} reports of {dims} entries on 4 shards peaked at {} live \

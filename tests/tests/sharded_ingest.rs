@@ -3,26 +3,24 @@
 //!
 //! The bit-for-bit property tests draw report values from the dyadic grid
 //! `k/16` with small `k`, where floating-point addition is exact and therefore
-//! order-free — so *any* shard count, batch capacity, and batch boundary must
-//! reproduce the single-loop result down to the last bit. Arbitrary-float
-//! agreement (where only the summation order differs) is covered by a
-//! tolerance-based test against Welford running means. On full-mantissa
-//! floats, where any change of order or grouping would show, the bulk path
-//! must give the same bits for every batch capacity and report width: a
-//! batch flushes at its report capacity or at 4,096 entries, and where it
-//! flushes never moves a sum.
+//! order-free — so *any* shard count must reproduce the single-loop result
+//! down to the last bit. Arbitrary-float agreement (where only the summation
+//! order differs) is covered by a tolerance-based test against Welford
+//! running means. On full-mantissa floats, where any change of order or
+//! grouping would show, the bulk path must add each shard's reports in user
+//! order, entry by entry, for narrow and wide reports alike.
 //!
 //! Every oracle here is test-local and shares no code with the engine: a
 //! plain loop over the reports, the same loop run per shard over the users
 //! `ShardRouter` sends there, and Welford running means.
 //!
 //! The last tests treat reports as untrusted: a report carrying NaN or ±∞
-//! fails the bulk call without touching the engine, as does a `fill` that
-//! clears the batch buffer it is handed, and the telemetry counts equal the
-//! reports, entries and flushes of the routed workload exactly.
+//! fails the bulk call without touching the engine, and only the shards
+//! whose walk finished count anything; `fill` is handed an empty buffer for
+//! every user; and the telemetry counts equal the reports and entries of the
+//! routed workload exactly.
 
 use hdldp_math::RunningMoments;
-use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
 use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError, ShardRouter};
 use hdldp_telemetry::Registry;
 use proptest::prelude::*;
@@ -62,9 +60,9 @@ fn dyadic_reports(dims: usize) -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> 
     })
 }
 
-/// Strategy: a report width on either side of a batch's 4,096-entry bound.
-/// Reports of 1–8 entries never reach it below 256 reports; a 300-entry
-/// report fills a batch after 14 reports, and a 5,000-entry one on its own.
+/// Strategy: a report width of 1–8 entries, or a wide one of 300 or 5,000
+/// entries, so a worker's one report buffer is reused across widths far
+/// apart.
 fn report_width() -> impl Strategy<Value = usize> {
     (0usize..10).prop_map(|class| match class {
         0..=7 => class + 1,
@@ -136,12 +134,11 @@ fn shard_serial_sums(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
-    /// Flush points never move the bulk path's bits: on full-mantissa
-    /// floats, `ingest_partitioned` gives each shard's sum in user order,
-    /// added across shards in shard order, at batch capacities 1, 3 and 256
-    /// and for report widths that reach the 4,096-entry bound or never do.
+    /// On full-mantissa floats, `ingest_partitioned` gives each shard's sum
+    /// in user order, entry by entry, added across shards in shard order, for
+    /// narrow reports and wide ones alike.
     #[test]
-    fn flush_points_never_move_the_bulk_paths_bits(
+    fn bulk_sums_follow_user_order_within_each_shard(
         dims in 1usize..20,
         widths in proptest::collection::vec(report_width(), 0..30),
         shards in 1usize..5,
@@ -150,29 +147,25 @@ proptest! {
         let reports = full_mantissa_reports(dims, &widths, seed);
         let bits = |sums: &[f64]| sums.iter().map(|sum| sum.to_bits()).collect::<Vec<_>>();
         let (sums, counts) = shard_serial_sums(dims, shards, &reports);
-        for capacity in [1, 3, 256] {
-            let config = IngestConfig::new(shards, capacity).unwrap();
-            let mut engine = IngestEngine::new(dims, config).unwrap();
-            ingest_all(&mut engine, &reports);
-            let merged = engine.merged().unwrap();
-            prop_assert_eq!(bits(&merged.sums()), bits(&sums), "capacity {}", capacity);
-            prop_assert_eq!(merged.counts(), counts.clone(), "capacity {}", capacity);
-            prop_assert_eq!(merged.reports(), reports.len());
-        }
+        let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, 256).unwrap()).unwrap();
+        ingest_all(&mut engine, &reports);
+        let merged = engine.merged().unwrap();
+        prop_assert_eq!(bits(&merged.sums()), bits(&sums));
+        prop_assert_eq!(merged.counts(), counts);
+        prop_assert_eq!(merged.reports(), reports.len());
     }
 
     /// On exact-addition inputs, the sharded engine reproduces the
-    /// single-loop sums and counts bit-for-bit for every shard count and
-    /// batch capacity — including shard counts far above the report count —
-    /// and each shard holds exactly the users routed to it.
+    /// single-loop sums and counts bit-for-bit for every shard count —
+    /// including shard counts far above the report count — and each shard
+    /// holds exactly the users routed to it.
     #[test]
     fn sharded_merge_equals_single_loop_bit_for_bit(
         population in (1usize..12).prop_flat_map(|dims| (Just(dims), dyadic_reports(dims))),
         shards in 1usize..20,
-        batch_capacity in 1usize..5,
     ) {
         let (dims, reports) = population;
-        let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, batch_capacity).unwrap()).unwrap();
+        let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, 256).unwrap()).unwrap();
         ingest_all(&mut engine, &reports);
         let merged = engine.merged().unwrap();
         let (sums, counts) = single_loop_sums(dims, &reports);
@@ -237,22 +230,6 @@ fn more_shards_than_reports_leaves_idle_shards_harmless() {
 }
 
 #[test]
-fn batch_capacity_one_flushes_every_report() {
-    let reports: Vec<Vec<(usize, f64)>> = (0..50)
-        .map(|user| vec![(0, 0.25), (user % 2, -0.5)])
-        .collect();
-    let registry = Registry::new();
-    let mut tight =
-        IngestEngine::with_telemetry(2, IngestConfig::new(3, 1).unwrap(), &registry).unwrap();
-    let mut roomy = IngestEngine::new(2, IngestConfig::new(3, 64).unwrap()).unwrap();
-    ingest_all(&mut tight, &reports);
-    ingest_all(&mut roomy, &reports);
-    let flushes = registry.snapshot().counter("ingest_batch_flushes_total");
-    assert_eq!(flushes, Some(50));
-    assert_eq!(tight.merged().unwrap(), roomy.merged().unwrap());
-}
-
-#[test]
 fn reports_without_entries_count_as_reports_but_not_samples() {
     let mut engine = IngestEngine::new(2, IngestConfig::new(2, 4).unwrap()).unwrap();
     ingest_all(&mut engine, &[vec![], vec![(1, 1.0)]]);
@@ -306,75 +283,106 @@ fn ingest_partitioned_rejects_a_non_finite_report_and_leaves_the_engine_untouche
 }
 
 #[test]
-fn a_fill_that_clears_its_buffer_fails_the_call_and_leaves_the_engine_untouched() {
-    let honest = honest_reports();
-    let mut engine = engine_with_honest_reports(&honest);
-    let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
-    // Earlier reports of user 500's batch are in the buffer it is handed.
-    let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
-        if user == 500 {
-            out.clear();
+fn a_failed_call_counts_only_the_shards_that_finished() {
+    // 1,000 one-entry reports; user 900's value is NaN. Its shard's walk
+    // fails and records nothing, every other shard's walk finishes and
+    // records its routed load, and the engine itself stays empty. On one
+    // shard that leaves every `ingest_*` counter at 0.
+    const BAD_USER: u64 = 900;
+    let users = 1_000u64;
+    for shards in [1, 3] {
+        let registry = Registry::new();
+        let config = IngestConfig::new(shards, 16).unwrap();
+        let mut engine = IngestEngine::with_telemetry(1, config, &registry).unwrap();
+        let result = engine.ingest_partitioned(0..users, |user, out| {
+            out.push((0, if user == BAD_USER { f64::NAN } else { 0.5 }));
+            Ok(())
+        });
+        assert_eq!(result, Err(ProtocolError::NonFiniteValue { dimension: 0 }));
+        assert_eq!(engine.shard_loads(), vec![0; shards], "{shards} shards");
+
+        let snapshot = registry.snapshot();
+        let failed = ShardRouter::new(shards).unwrap().route(BAD_USER);
+        let loads = routed_loads(shards, users as usize);
+        let mut finished = 0;
+        for (shard, &load) in loads.iter().enumerate() {
+            let expected = if shard == failed { 0 } else { load as u64 };
+            let name = format!("ingest_shard{shard:03}_reports_total");
+            assert_eq!(
+                snapshot.counter(&name),
+                Some(expected),
+                "{name} of {shards}"
+            );
+            finished += expected;
         }
-        out.extend_from_slice(&honest[user as usize]);
-        Ok(())
-    });
-    assert!(
-        matches!(
-            result,
-            Err(ProtocolError::InvalidConfig { name: "fill", .. })
-        ),
-        "{result:?}"
-    );
-    assert_eq!(engine.merged().unwrap(), before);
-    assert_eq!(engine.shard_loads(), loads);
+        for name in ["ingest_reports_total", "ingest_entries_total"] {
+            assert_eq!(snapshot.counter(name), Some(finished), "{name} of {shards}");
+        }
+        if shards == 1 {
+            assert_eq!(finished, 0);
+            let counters = snapshot.counters.iter();
+            let ingest: Vec<_> = counters.filter(|c| c.name.starts_with("ingest_")).collect();
+            assert_eq!(ingest.len(), 4, "{ingest:?}");
+            assert!(ingest.iter().all(|c| c.value == 0), "{ingest:?}");
+        }
+    }
 }
 
 #[test]
-fn ingest_partitioned_counts_every_report_entry_and_flush() {
+fn fill_is_handed_an_empty_buffer_for_every_user() {
     let honest = honest_reports();
-    // Users send 0 to 3 entries in turn, so no batch nears 4,096 entries
-    // and each fills at its report capacity.
+    let users = 0..honest.len() as u64;
+    let config = IngestConfig::new(3, 16).unwrap();
+    let mut appending = IngestEngine::new(3, config).unwrap();
+    appending
+        .ingest_partitioned(users.clone(), |user, out| {
+            assert!(out.is_empty(), "user {user} was handed {out:?}");
+            out.extend_from_slice(&honest[user as usize]);
+            Ok(())
+        })
+        .unwrap();
+    // Clearing the buffer first drops nothing, so it gives the same merge.
+    let mut clearing = IngestEngine::new(3, config).unwrap();
+    clearing
+        .ingest_partitioned(users, |user, out| {
+            out.clear();
+            out.extend_from_slice(&honest[user as usize]);
+            Ok(())
+        })
+        .unwrap();
+    assert_eq!(clearing.merged().unwrap(), appending.merged().unwrap());
+    assert_eq!(clearing.shard_loads(), appending.shard_loads());
+    assert_eq!(appending.merged().unwrap().reports(), honest.len());
+}
+
+#[test]
+fn ingest_partitioned_counts_every_report_and_entry() {
+    let honest = honest_reports();
     let entries: u64 = honest.iter().map(|report| report.len() as u64).sum();
     assert_eq!(entries, 1_500);
     for shards in [1, 2, 3] {
         let loads = routed_loads(shards, honest.len());
-        for capacity in [1, 7, 256] {
-            let config = IngestConfig::new(shards, capacity).unwrap();
-            let registry = Registry::new();
-            let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
-            ingest_all(&mut engine, &honest);
+        let registry = Registry::new();
+        let config = IngestConfig::new(shards, 16).unwrap();
+        let mut engine = IngestEngine::with_telemetry(3, config, &registry).unwrap();
+        ingest_all(&mut engine, &honest);
 
-            let at = format!("{shards} shards, capacity {capacity}");
-            let snapshot = registry.snapshot();
-            let users = honest.len() as u64;
-            assert_eq!(
-                snapshot.counter("ingest_reports_total"),
-                Some(users),
-                "{at}"
-            );
-            assert_eq!(
-                snapshot.counter("ingest_entries_total"),
-                Some(entries),
-                "{at}"
-            );
-            for (shard, &load) in loads.iter().enumerate() {
-                let name = format!("ingest_shard{shard:03}_reports_total");
-                assert_eq!(snapshot.counter(&name), Some(load as u64), "{name}, {at}");
-            }
-            let flushes: u64 = loads
-                .iter()
-                .map(|&load| load.div_ceil(capacity) as u64)
-                .sum();
-            assert_eq!(
-                snapshot.counter("ingest_batch_flushes_total"),
-                Some(flushes),
-                "{at}"
-            );
-            let timed = snapshot
-                .histogram("ingest_batch_flush_ns")
-                .map_or(0, |h| h.count);
-            assert_eq!(timed, flushes.div_ceil(FLUSH_SAMPLE_EVERY), "{at}");
-            assert_eq!(engine.shard_loads(), loads, "{at}");
+        let snapshot = registry.snapshot();
+        let users = honest.len() as u64;
+        assert_eq!(
+            snapshot.counter("ingest_reports_total"),
+            Some(users),
+            "{shards} shards"
+        );
+        assert_eq!(
+            snapshot.counter("ingest_entries_total"),
+            Some(entries),
+            "{shards} shards"
+        );
+        for (shard, &load) in loads.iter().enumerate() {
+            let name = format!("ingest_shard{shard:03}_reports_total");
+            assert_eq!(snapshot.counter(&name), Some(load as u64), "{name}");
         }
+        assert_eq!(engine.shard_loads(), loads, "{shards} shards");
     }
 }

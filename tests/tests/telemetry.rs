@@ -23,7 +23,6 @@ use hdldp_data::GaussianDataset;
 use hdldp_integration_tests::test_rng;
 use hdldp_math::ErfCache;
 use hdldp_mechanisms::MechanismKind;
-use hdldp_protocol::telemetry::FLUSH_SAMPLE_EVERY;
 use hdldp_protocol::{IngestConfig, IngestEngine, MeanEstimationPipeline, PipelineConfig};
 use hdldp_telemetry::Registry;
 
@@ -266,38 +265,8 @@ fn instrumented_engine_counts_match_the_workload() {
         .sum();
     assert_eq!(shard_sum, users);
 
-    // Every report went through a counted batch flush; the flush latency is
-    // sampled every FLUSH_SAMPLE_EVERY-th flush, counted from 0 across the
-    // shard workers, so exactly ⌈flushes / FLUSH_SAMPLE_EVERY⌉ read the clock.
-    let flushes = snapshot.counter("ingest_batch_flushes_total").unwrap();
-    let flush_hist = snapshot.histogram("ingest_batch_flush_ns").unwrap();
-    assert!(flushes > 0);
-    assert_eq!(flush_hist.count, flushes.div_ceil(FLUSH_SAMPLE_EVERY));
+    // Every merge is timed.
     assert_eq!(snapshot.histogram("ingest_merge_ns").unwrap().count, 1);
-}
-
-#[test]
-fn parallel_flushes_are_sampled_exactly_one_in_flush_sample_every() {
-    // Capacity 1 makes every report its own flush, and the four shard
-    // workers of the bulk path claim their flush ordinals concurrently, so
-    // exactly users / FLUSH_SAMPLE_EVERY drains may read the clock.
-    let registry = Registry::new();
-    let mut engine =
-        IngestEngine::with_telemetry(4, IngestConfig::new(4, 1).unwrap(), &registry).unwrap();
-    let users = 20_000u64;
-    engine
-        .ingest_partitioned(0..users, |user, out| {
-            out.push(((user % 4) as usize, 1.0));
-            Ok(())
-        })
-        .unwrap();
-
-    let snapshot = registry.snapshot();
-    assert_eq!(snapshot.counter("ingest_batch_flushes_total"), Some(users));
-    assert_eq!(
-        snapshot.histogram("ingest_batch_flush_ns").unwrap().count,
-        users / FLUSH_SAMPLE_EVERY
-    );
 }
 
 #[test]
@@ -318,12 +287,8 @@ fn pipeline_run_records_phases_and_serializes_round_trip() {
     assert_eq!(snapshot.histogram("pipeline_estimate_ns").unwrap().count, 1);
     assert_eq!(snapshot.counter("ingest_reports_total"), Some(600));
 
-    // The exporter surface is stable: JSON round-trips to an equal snapshot,
-    // and the Prometheus rendering names every metric family.
-    let json = snapshot.to_json().unwrap();
+    // The snapshot round-trips through JSON, the form the drivers write it in.
+    let json = serde_json::to_string_pretty(&snapshot).unwrap();
     let restored: hdldp_telemetry::TelemetrySnapshot = serde_json::from_str(&json).unwrap();
     assert_eq!(restored, snapshot);
-    let prometheus = snapshot.to_prometheus();
-    assert!(prometheus.contains("pipeline_runs_total"));
-    assert!(prometheus.contains("pipeline_ingest_ns"));
 }
