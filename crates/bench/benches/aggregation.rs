@@ -8,6 +8,8 @@ use hdldp_telemetry::Registry;
 
 type Reports = Vec<Vec<(usize, f64)>>;
 
+/// `count` reports of `entries_per_report` entries over `dims` dimensions,
+/// on scattered dimensions.
 fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Reports {
     (0..count)
         .map(|i| {
@@ -28,6 +30,17 @@ fn ingest_and_count(mut engine: IngestEngine, reports: &Reports) -> Vec<u64> {
         })
         .unwrap();
     engine.merged().unwrap().counts()
+}
+
+/// `count` dense reports: every one of `dims` dimensions once, in order.
+fn make_dense_reports(count: usize, dims: usize) -> Reports {
+    (0..count)
+        .map(|i| {
+            (0..dims)
+                .map(|j| (j, ((i + j) as f64 % 3.0) - 1.0))
+                .collect()
+        })
+        .collect()
 }
 
 fn bench_sharded_ingest(c: &mut Criterion) {
@@ -51,6 +64,24 @@ fn bench_sharded_ingest(c: &mut Criterion) {
                 },
             );
         }
+    }
+    // Reports of every dimension in order, the shape of the m = d figures
+    // and the categorical oracles at k = 256, which the engine adds as one
+    // pass over the sums.
+    let (count, dims) = (10_000usize, 256usize);
+    let reports = make_dense_reports(count, dims);
+    for &shards in &[1usize, 4] {
+        group.bench_with_input(
+            BenchmarkId::new(format!("dense/shards{shards}"), format!("n{count}")),
+            &shards,
+            |b, &shards| {
+                let config = IngestConfig::new(shards, 256).unwrap();
+                b.iter(|| {
+                    let engine = IngestEngine::new(dims, config).unwrap();
+                    black_box(ingest_and_count(engine, &reports))
+                })
+            },
+        );
     }
     group.finish();
 }

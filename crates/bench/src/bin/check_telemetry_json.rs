@@ -7,8 +7,9 @@
 //! ```
 //!
 //! Checks, per snapshot row: the JSON parses into the typed snapshot shape,
-//! the ingest counters are present and consistent (reports > 0, exactly one
-//! per-shard counter per shard summing to the total), the merge latency
+//! the ingest counters are present and consistent (reports > 0, dense
+//! reports at most the reports, exactly one per-shard counter per shard
+//! summing to the total), the merge latency
 //! histogram recorded events, and the phase-duration gauges are positive.
 //! The merge histogram times every merge, so its sample count must equal
 //! `ingest_merges_total` exactly. Exits non-zero with a diagnostic on the
@@ -30,6 +31,14 @@ fn check(rows: &[ShardTelemetryRow]) -> Result<(), String> {
             .ok_or(format!("{context}: missing ingest_reports_total"))?;
         if reports == 0 {
             return Err(format!("{context}: ingest_reports_total is 0"));
+        }
+        let dense = snapshot
+            .counter("ingest_dense_reports_total")
+            .ok_or(format!("{context}: missing ingest_dense_reports_total"))?;
+        if dense > reports {
+            return Err(format!(
+                "{context}: ingest_dense_reports_total is {dense}, above the {reports} reports"
+            ));
         }
 
         let per_shard: Vec<_> = snapshot
@@ -107,10 +116,12 @@ mod tests {
     use hdldp_telemetry::Registry;
 
     /// A row as `million_user_ingest --telemetry` writes it: 1,000 reports
-    /// over 2 shards, one merge, and both phase gauges set.
+    /// over 2 shards, none of them dense, one merge, and both phase gauges
+    /// set.
     fn row() -> ShardTelemetryRow {
         let registry = Registry::new();
         registry.counter("ingest_reports_total").add(1_000);
+        registry.counter("ingest_dense_reports_total");
         registry.counter("ingest_entries_total").add(8_000);
         registry.counter("ingest_shard000_reports_total").add(493);
         registry.counter("ingest_shard001_reports_total").add(507);
@@ -157,6 +168,24 @@ mod tests {
             );
         }
         fails(|row| row.shards = 3, "expected 3 per-shard counters");
+    }
+
+    #[test]
+    fn a_dense_count_above_the_reports_or_missing_fails() {
+        let mut all_dense = row();
+        *counter(&mut all_dense, "ingest_dense_reports_total") = 1_000;
+        assert_eq!(check(&[all_dense]), Ok(()));
+        fails(
+            |row| *counter(row, "ingest_dense_reports_total") = 1_001,
+            "ingest_dense_reports_total is 1001, above the 1000 reports",
+        );
+        fails(
+            |row| {
+                let counters = &mut row.snapshot.counters;
+                counters.retain(|c| c.name != "ingest_dense_reports_total");
+            },
+            "missing ingest_dense_reports_total",
+        );
     }
 
     #[test]

@@ -24,11 +24,19 @@
 //! once, checked once and never copied, and once the buffer has grown to the
 //! widest report, the walk allocates nothing.
 //!
+//! The check also tells whether a report is *dense*: every dimension once,
+//! in order, as the m = d clients and the categorical oracles send it. The
+//! report's own shape picks how it is added. A dense report is one streaming
+//! add per entry into the sums, with no count store, since it raises every
+//! `r_j` by one; any other report is scattered, two indexed adds per entry
+//! (sum and count). Either way each sum receives the same values in the same
+//! order.
+//!
 //! The resulting [`IngestEngine`] produces the same estimated means as a
 //! single loop over the reports, up to the floating-point rounding of the
 //! summation order (the integration tests assert bit-for-bit equality on
-//! inputs where addition is exact), while the hot loop is two indexed adds
-//! per entry, shard-local and allocation-free.
+//! inputs where addition is exact), while the hot loop stays shard-local and
+//! allocation-free.
 //!
 //! ```
 //! use hdldp_protocol::{IngestConfig, IngestEngine};
@@ -118,10 +126,11 @@ impl IngestConfig {
 /// reports — independent of thread count and scheduling.
 ///
 /// Engines built with [`IngestEngine::with_telemetry`] record runtime metrics
-/// (reports, entries and per-shard load, plus merge latency) into the given
-/// [`Registry`] once per shard per call, when the shard's walk finishes, so
-/// the per-report path performs no atomic traffic. [`IngestEngine::new`] wires the engine to a
-/// disabled registry, which reduces every recording site to one branch.
+/// (reports, dense reports, entries and per-shard load, plus merge latency)
+/// into the given [`Registry`] once per shard per call, when the shard's walk
+/// finishes, so the per-report path performs no atomic traffic.
+/// [`IngestEngine::new`] wires the engine to a disabled registry, which
+/// reduces every recording site to one branch.
 #[derive(Debug, Clone)]
 pub struct IngestEngine {
     dims: usize,
@@ -174,7 +183,8 @@ impl IngestEngine {
     /// `fill` appends user `u`'s report, its `(dimension, value)` entries, to
     /// the empty buffer it is handed. Each report is then checked with one
     /// branch-free scan (every dimension below `d`, every value finite) and
-    /// added to its shard's sums, entry by entry.
+    /// added to its shard's sums: in one pass when it is dense (every
+    /// dimension once, in order), entry by entry otherwise.
     ///
     /// Each shard's worker walks the whole range but generates reports only
     /// for the users that hash to it, in increasing id order, so reports stay
@@ -207,11 +217,11 @@ impl IngestEngine {
                     }
                     report.clear();
                     fill(user_id, &mut report)?;
-                    check_entries(&report, dims)?;
-                    acc.add_report(&report);
+                    let dense = check_entries(&report, dims)?;
+                    acc.add_report(&report, dense);
                     entries += report.len();
                 }
-                metrics.record_shard(shard, acc.reports(), entries);
+                metrics.record_shard(shard, acc.reports(), acc.dense_reports(), entries);
                 Ok(acc)
             })
             .collect();

@@ -9,12 +9,22 @@
 use crate::ProtocolError;
 
 /// Check one report's `(dimension, value)` entries against a `dims`-dimension
-/// collector: every dimension below `dims` and every value finite.
+/// collector: every dimension below `dims` and every value finite. A valid
+/// report is **dense** when it holds exactly `dims` entries, the entry at
+/// position `i` naming dimension `i`: it reports every dimension once, in
+/// order, as the m = d clients and the categorical oracles do.
 ///
 /// The collector's single report check, run on every report before it is
-/// added to a shard's sums. The scan ORs each entry's verdict into one word
-/// with no early exit and no data-dependent branch, so the compiler
-/// vectorises it; the first bad entry is looked up only on the error path.
+/// added to a shard's sums. A report of `dims` entries is first scanned for
+/// the dense shape, OR-ing each entry's `dimension ^ position` with its
+/// finiteness test; a dense, finite report is valid, so that one scan decides
+/// it. Any other report, or a full-length one that fails that scan, takes
+/// the range-and-finiteness scan. Each scan ORs every entry's verdict into
+/// one word with no early exit and no data-dependent branch, so the compiler
+/// is free to vectorise it; the first bad entry is looked up only on the
+/// error path.
+///
+/// Returns whether the report is dense.
 ///
 /// # Errors
 /// Returns, for the first bad entry, [`ProtocolError::DimensionOutOfRange`]
@@ -22,22 +32,34 @@ use crate::ProtocolError;
 /// when its value is NaN or infinite.
 // One branch-free scan per report; the error is built out of line.
 #[inline]
-pub(crate) fn check_entries(entries: &[(usize, f64)], dims: usize) -> crate::Result<()> {
+pub(crate) fn check_entries(entries: &[(usize, f64)], dims: usize) -> crate::Result<bool> {
     // Each test is an unsigned `x < limit` read off bit 63: for `x` and
     // `limit` below 2⁶³, `(limit − 1) − x` wraps to a word with bit 63 set
     // exactly when `x >= limit`, and OR-ing in `x` flags any `x >= 2⁶³`. A
     // value is finite exactly when its magnitude bits are below +∞'s. The
     // lookup below decides exactly, so a dimensionality above 2⁶³, where the
     // test can flag a good entry, still accepts every good report.
-    let dim_limit = (dims as u64).wrapping_sub(1);
     let value_limit = f64::INFINITY.to_bits() - 1;
+    if entries.len() == dims {
+        // Zero exactly when every entry names its own position (so every
+        // dimension is below `dims`) and carries a finite value.
+        let mut misplaced = 0u64;
+        for (position, &(dim, value)) in entries.iter().enumerate() {
+            misplaced |=
+                (dim ^ position) as u64 | (value_limit.wrapping_sub(value.abs().to_bits()) >> 63);
+        }
+        if misplaced == 0 {
+            return Ok(true);
+        }
+    }
+    let dim_limit = (dims as u64).wrapping_sub(1);
     let mut over = 0u64;
     for &(dim, value) in entries {
         let dim = dim as u64;
         over |= dim | dim_limit.wrapping_sub(dim) | value_limit.wrapping_sub(value.abs().to_bits());
     }
     if over >> 63 == 0 {
-        Ok(())
+        Ok(false)
     } else {
         first_bad_entry(entries, dims)
     }
@@ -46,7 +68,7 @@ pub(crate) fn check_entries(entries: &[(usize, f64)], dims: usize) -> crate::Res
 /// The error for the first entry [`check_entries`] rejects.
 #[cold]
 #[inline(never)]
-fn first_bad_entry(entries: &[(usize, f64)], dims: usize) -> crate::Result<()> {
+fn first_bad_entry(entries: &[(usize, f64)], dims: usize) -> crate::Result<bool> {
     for &(dimension, value) in entries {
         if dimension >= dims {
             return Err(ProtocolError::DimensionOutOfRange { dimension, dims });
@@ -55,7 +77,7 @@ fn first_bad_entry(entries: &[(usize, f64)], dims: usize) -> crate::Result<()> {
             return Err(ProtocolError::NonFiniteValue { dimension });
         }
     }
-    Ok(())
+    Ok(false)
 }
 
 #[cfg(test)]
@@ -64,8 +86,9 @@ mod tests {
 
     #[test]
     fn check_entries_names_the_first_bad_entry() {
-        assert_eq!(check_entries(&[], 2), Ok(()));
-        assert_eq!(check_entries(&[(0, -1.5), (1, f64::MAX)], 2), Ok(()));
+        assert_eq!(check_entries(&[], 2), Ok(false));
+        assert_eq!(check_entries(&[(1, -1.5)], 2), Ok(false));
+        assert_eq!(check_entries(&[(0, -1.5), (1, f64::MAX)], 2), Ok(true));
         assert_eq!(
             check_entries(&[(0, 1.0), (2, 1.0), (1, f64::NAN)], 2),
             Err(ProtocolError::DimensionOutOfRange {
@@ -79,6 +102,14 @@ mod tests {
                 Err(ProtocolError::NonFiniteValue { dimension: 1 })
             );
         }
+    }
+
+    /// What [`check_entries`] must return: the range-and-finiteness scan's
+    /// verdict, with the dense shape read off by a plain loop.
+    fn sparse_scan_verdict(entries: &[(usize, f64)], dims: usize) -> crate::Result<bool> {
+        first_bad_entry(entries, dims)?;
+        let in_order = entries.iter().enumerate().all(|(i, &(dim, _))| dim == i);
+        Ok(entries.len() == dims && in_order)
     }
 
     #[test]
@@ -97,12 +128,58 @@ mod tests {
         }
         let subnormal = f64::from_bits(1);
         for value in [0.0, -0.0, subnormal, -f64::MAX, f64::MAX, f64::MIN_POSITIVE] {
-            assert_eq!(check_entries(&[(0, value)], 1), Ok(()), "{value:e}");
+            assert_eq!(check_entries(&[(0, value)], 1), Ok(true), "{value:e}");
         }
         let negative_nan = -f64::NAN;
         let quiet_nan = f64::from_bits(f64::INFINITY.to_bits() | 1);
         for value in [negative_nan, quiet_nan, f64::INFINITY, f64::NEG_INFINITY] {
             assert!(check_entries(&[(0, value)], 1).is_err(), "{value:e}");
+        }
+
+        // Full-length reports: only an in-order, finite one is dense, and
+        // every other one gets the range-and-finiteness scan's verdict and
+        // first bad entry, in order and reversed.
+        for dims in [1, 2, 3, 256] {
+            let full: Vec<(usize, f64)> = (0..dims)
+                .map(|i| (i, (i as f64 * 0.37).sin() * 1e3))
+                .collect();
+            let mut reports = vec![full.clone()];
+            for at in [0, dims / 2, dims - 1] {
+                for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, f64::MAX] {
+                    let mut report = full.clone();
+                    report[at].1 = value;
+                    reports.push(report);
+                }
+                // Out of range, or the dimension before it again.
+                for dim in [dims, dims + 1, huge, usize::MAX, at.saturating_sub(1)] {
+                    let mut report = full.clone();
+                    report[at].0 = dim;
+                    reports.push(report);
+                }
+            }
+            // Two bad entries: the first one in entry order is named.
+            let mut twice = full.clone();
+            twice[dims - 1].1 = f64::NAN;
+            twice[0].0 = dims;
+            reports.push(twice);
+            let reversed: Vec<_> = reports
+                .iter()
+                .map(|report| report.iter().rev().copied().collect())
+                .collect();
+            reports.extend(reversed);
+            for report in &reports {
+                assert_eq!(
+                    check_entries(report, dims),
+                    sparse_scan_verdict(report, dims),
+                    "{report:?}"
+                );
+            }
+            assert_eq!(check_entries(&full, dims), Ok(true));
+            let mut duplicated = full.clone();
+            duplicated[dims - 1].0 = dims.saturating_sub(2);
+            assert_eq!(check_entries(&duplicated, dims), Ok(dims == 1));
+            let reversed: Vec<_> = full.iter().rev().copied().collect();
+            assert_eq!(check_entries(&reversed, dims), Ok(dims == 1));
         }
     }
 }

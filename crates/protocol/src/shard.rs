@@ -66,34 +66,34 @@ impl ShardRouter {
     }
 }
 
-/// One dimension's partial state: `Σ t*_ij` and the report count `r_j`.
-///
-/// Sum and count live side by side (16 bytes) so the accumulate hot loop
-/// touches a single cache line per entry instead of two parallel arrays.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct DimPartial {
-    sum: f64,
-    count: u64,
-}
-
-impl DimPartial {
-    const ZERO: Self = Self { sum: 0.0, count: 0 };
-}
-
 /// One shard's partial aggregation state: per-dimension sums and counts.
 ///
 /// A shard accumulator stores only what the naive estimator needs —
-/// `Σ t*_ij` and `r_j` per dimension — in one flat array of
-/// sum/count pairs, so the accumulate loop is one indexed read-modify-write
-/// per entry with no per-report allocation. Reports reach it only through
-/// the engine, which checks each one before adding it. Partial accumulators
-/// from different shards [`merge`] exactly: per-dimension sums and counts
-/// add componentwise.
+/// `Σ t*_ij` and `r_j` per dimension — as two flat arrays (16 bytes per
+/// dimension) and one count of **dense** reports, the reports that hold every
+/// dimension once, in order ([`crate::IngestEngine`] learns the shape from
+/// its report check). A dense report raises every `r_j` by exactly one, so it
+/// is added as one streaming pass over the sums, with no count store; every
+/// other report is scattered entry by entry into sums and counts. On read,
+/// [`counts`] folds the dense count into every `r_j`, so each sum receives the
+/// same values in the same order, and each count the same total, whichever
+/// way a report was added. Reports reach the accumulator only through the
+/// engine, which checks each one before adding it. Partial accumulators from
+/// different shards [`merge`] exactly: per-dimension sums and counts add
+/// componentwise.
 ///
+/// Two accumulators are equal when they hold the same sums, counts and
+/// report count, whichever way their reports were added.
+///
+/// [`counts`]: ShardAccumulator::counts
 /// [`merge`]: ShardAccumulator::merge
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 pub struct ShardAccumulator {
-    partials: Vec<DimPartial>,
+    sums: Vec<f64>,
+    /// Per-dimension counts of the reports added entry by entry.
+    counts: Vec<u64>,
+    /// Reports added as dense, each counted once in every dimension.
+    dense_reports: u64,
     reports: usize,
 }
 
@@ -110,14 +110,16 @@ impl ShardAccumulator {
             });
         }
         Ok(Self {
-            partials: vec![DimPartial::ZERO; dims],
+            sums: vec![0.0; dims],
+            counts: vec![0; dims],
+            dense_reports: 0,
             reports: 0,
         })
     }
 
     /// The configured dimensionality `d`.
     pub fn dims(&self) -> usize {
-        self.partials.len()
+        self.sums.len()
     }
 
     /// Number of reports accumulated into this shard.
@@ -125,32 +127,56 @@ impl ShardAccumulator {
         self.reports
     }
 
-    /// Per-dimension partial sums `Σ t*_ij` over this shard's reports
-    /// (materialized from the interleaved storage; a read-path cost only).
+    /// Number of those reports that were dense.
+    pub(crate) fn dense_reports(&self) -> u64 {
+        self.dense_reports
+    }
+
+    /// Per-dimension partial sums `Σ t*_ij` over this shard's reports.
     pub fn sums(&self) -> Vec<f64> {
-        self.partials.iter().map(|p| p.sum).collect()
+        self.sums.clone()
     }
 
-    /// Per-dimension report counts `r_j` over this shard's reports
-    /// (materialized from the interleaved storage; a read-path cost only).
+    /// Per-dimension report counts `r_j` over this shard's reports (each
+    /// dimension's scattered count plus the dense reports; a read-path cost
+    /// only).
     pub fn counts(&self) -> Vec<u64> {
-        self.partials.iter().map(|p| p.count).collect()
+        self.dim_counts().collect()
     }
 
-    /// Add one report: each entry's value to its dimension's sum and one to
-    /// its count, in entry order, and one to the report count. The engine
-    /// checks the report against `dims` first, so every dimension is below
-    /// `dims` and `get_mut` never misses; it keeps the loop free of a panic
+    /// Each dimension's `r_j`: its scattered count plus every dense report.
+    fn dim_counts(&self) -> impl Iterator<Item = u64> + '_ {
+        self.counts.iter().map(|&count| count + self.dense_reports)
+    }
+
+    /// Add one report that passed the engine's check, `dense` being the
+    /// check's verdict on its shape. A dense report's `j`-th value goes to
+    /// sum `j` in one streaming pass, and the dense count, which every `r_j`
+    /// includes, rises by one. Any other report adds each entry's value to
+    /// its dimension's sum and one to its count, in entry order. Either way
+    /// the report count rises by one. The check put every dimension below
+    /// `dims`, so `get_mut` never misses; it keeps the loop free of a panic
     /// path.
-    // Out of line on purpose: inlined into the engine's monomorphised worker
-    // closure, this loop cost `heavy_hitters` about 7% of its items/s
-    // (median of 5 alternating 30-s perfbench runs per build, 2 vCPUs).
+    // Out of line: inlined into the engine's monomorphised worker closure,
+    // the scatter loop alone once cost `heavy_hitters` about 7% of its
+    // items/s. With the dense pass beside it, `heavy_hitters` reads the same
+    // either way (2.190M items/s out of line, 2.186M inlined: medians of 5
+    // alternating 30-s perfbench pairs, 2 vCPUs), so nothing argues for
+    // inlining the loops.
     #[inline(never)]
-    pub(crate) fn add_report(&mut self, entries: &[(usize, f64)]) {
-        for &(dim, value) in entries {
-            if let Some(partial) = self.partials.get_mut(dim) {
-                partial.sum += value;
-                partial.count += 1;
+    pub(crate) fn add_report(&mut self, entries: &[(usize, f64)], dense: bool) {
+        if dense {
+            for (sum, &(_, value)) in self.sums.iter_mut().zip(entries) {
+                *sum += value;
+            }
+            self.dense_reports += 1;
+        } else {
+            for &(dim, value) in entries {
+                if let (Some(sum), Some(count)) = (self.sums.get_mut(dim), self.counts.get_mut(dim))
+                {
+                    *sum += value;
+                    *count += 1;
+                }
             }
         }
         self.reports += 1;
@@ -173,10 +199,13 @@ impl ShardAccumulator {
                 ),
             });
         }
-        for (mine, theirs) in self.partials.iter_mut().zip(&other.partials) {
-            mine.sum += theirs.sum;
-            mine.count += theirs.count;
+        for (mine, theirs) in self.sums.iter_mut().zip(&other.sums) {
+            *mine += theirs;
         }
+        for (mine, theirs) in self.counts.iter_mut().zip(&other.counts) {
+            *mine += theirs;
+        }
+        self.dense_reports += other.dense_reports;
         self.reports += other.reports;
         Ok(())
     }
@@ -187,17 +216,26 @@ impl ShardAccumulator {
     /// Returns [`ProtocolError::EmptyDimension`] if any dimension received no
     /// reports (its mean is undefined).
     pub fn means(&self) -> crate::Result<Vec<f64>> {
-        self.partials
+        self.sums
             .iter()
+            .zip(self.dim_counts())
             .enumerate()
-            .map(|(j, partial)| {
-                if partial.count == 0 {
+            .map(|(j, (&sum, count))| {
+                if count == 0 {
                     Err(ProtocolError::EmptyDimension { dimension: j })
                 } else {
-                    Ok(partial.sum / partial.count as f64)
+                    Ok(sum / count as f64)
                 }
             })
             .collect()
+    }
+}
+
+impl PartialEq for ShardAccumulator {
+    fn eq(&self, other: &Self) -> bool {
+        self.reports == other.reports
+            && self.sums == other.sums
+            && self.dim_counts().eq(other.dim_counts())
     }
 }
 
@@ -217,8 +255,8 @@ mod tests {
         let checked = reports
             .iter()
             .map(|entries| {
-                check_entries(entries, dims)?;
-                acc.add_report(entries);
+                let dense = check_entries(entries, dims)?;
+                acc.add_report(entries, dense);
                 Ok(())
             })
             .collect();
@@ -320,5 +358,44 @@ mod tests {
         assert_eq!(a.means().unwrap(), vec![2.0, 3.0]);
         let wrong = ShardAccumulator::new(3).unwrap();
         assert!(a.merge(&wrong).is_err());
+    }
+
+    #[test]
+    fn dense_reports_count_in_every_dimension() {
+        let full: &[(usize, f64)] = &[(0, 1.0), (1, 2.0), (2, 3.0)];
+        let reversed: &[(usize, f64)] = &[(2, 3.0), (1, 2.0), (0, 1.0)];
+        let (dense, _) = accumulated(3, &[full, full]);
+        assert_eq!(dense.dense_reports(), 2);
+        assert_eq!(dense.counts(), &[2, 2, 2]);
+        assert_eq!(dense.means().unwrap(), vec![1.0, 2.0, 3.0]);
+        // The same reports reversed take the scatter path and hold the same
+        // sums and counts, so the accumulators are equal.
+        let (sparse, _) = accumulated(3, &[reversed, reversed]);
+        assert_eq!(sparse.dense_reports(), 0);
+        assert_eq!(sparse, dense);
+
+        // A dense-only and a sparse-only accumulator merge to the summed
+        // counts, in either direction.
+        let (scattered, _) = accumulated(3, &[&[(0, 4.0)], &[(2, -1.0), (0, 2.0)]]);
+        for (mut merged, other) in [(dense.clone(), &scattered), (scattered.clone(), &dense)] {
+            merged.merge(other).unwrap();
+            assert_eq!(merged.reports(), 4);
+            assert_eq!(merged.dense_reports(), 2);
+            assert_eq!(merged.counts(), &[4, 2, 3]);
+            assert_eq!(merged.sums(), &[8.0, 4.0, 5.0]);
+            assert_eq!(merged.means().unwrap(), vec![2.0, 2.0, 5.0 / 3.0]);
+        }
+
+        // Dense reports fill every dimension, so only a dimension that no
+        // report touched is empty.
+        let (untouched, _) = accumulated(3, &[&[(0, 4.0)], &[(2, -1.0)]]);
+        assert!(matches!(
+            untouched.means(),
+            Err(ProtocolError::EmptyDimension { dimension: 1 })
+        ));
+        let mut filled = untouched.clone();
+        filled.merge(&dense).unwrap();
+        assert_eq!(filled.counts(), &[3, 2, 3]);
+        assert!(filled.means().is_ok());
     }
 }

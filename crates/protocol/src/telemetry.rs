@@ -14,6 +14,7 @@
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `ingest_reports_total` | counter | reports added to shard accumulators |
+//! | `ingest_dense_reports_total` | counter | of those, dense reports (every dimension once, in order) |
 //! | `ingest_entries_total` | counter | `(dimension, value)` entries added |
 //! | `ingest_merges_total` | counter | merge-on-read operations |
 //! | `ingest_merge_ns` | histogram | latency of one full merge-on-read |
@@ -39,6 +40,9 @@ pub const PERTURB_SAMPLE_EVERY: u64 = 64;
 pub struct IngestMetrics {
     /// Reports added to shard accumulators (`ingest_reports_total`).
     pub reports: Counter,
+    /// Of those, the dense reports, added as one pass over the sums
+    /// (`ingest_dense_reports_total`).
+    pub dense_reports: Counter,
     /// Entries added to shard accumulators (`ingest_entries_total`).
     pub entries: Counter,
     /// Merge-on-read operations (`ingest_merges_total`).
@@ -55,6 +59,7 @@ impl IngestMetrics {
     pub fn register(registry: &Registry, shards: usize) -> Self {
         Self {
             reports: registry.counter("ingest_reports_total"),
+            dense_reports: registry.counter("ingest_dense_reports_total"),
             entries: registry.counter("ingest_entries_total"),
             merges: registry.counter("ingest_merges_total"),
             merge_ns: registry.histogram("ingest_merge_ns"),
@@ -64,10 +69,11 @@ impl IngestMetrics {
         }
     }
 
-    /// Record the reports and entries shard `shard` added in one walk of an
-    /// ingest call.
-    pub(crate) fn record_shard(&self, shard: usize, reports: usize, entries: usize) {
+    /// Record the reports, dense reports and entries shard `shard` added in
+    /// one walk of an ingest call.
+    pub(crate) fn record_shard(&self, shard: usize, reports: usize, dense: u64, entries: usize) {
         self.reports.add(reports as u64);
+        self.dense_reports.add(dense);
         self.entries.add(entries as u64);
         if let Some(counter) = self.shard_reports.get(shard) {
             counter.add(reports as u64);
@@ -111,7 +117,7 @@ mod tests {
         let m = IngestMetrics::register(&Registry::disabled(), 4);
         assert!(!m.reports.is_enabled());
         assert_eq!(m.shard_reports.len(), 4);
-        m.record_shard(2, 10, 20);
+        m.record_shard(2, 10, 10, 20);
         assert_eq!(m.reports.value(), 0);
         let p = PipelineMetrics::register(&Registry::disabled());
         assert!(!p.runs.is_enabled());
@@ -121,11 +127,12 @@ mod tests {
     fn record_shard_advances_all_counters() {
         let registry = Registry::new();
         let m = IngestMetrics::register(&registry, 2);
-        for (shard, reports, entries) in [(1, 3, 6), (1, 2, 4), (0, 1, 2)] {
-            m.record_shard(shard, reports, entries);
+        for (shard, reports, dense, entries) in [(1, 3, 3, 6), (1, 2, 0, 4), (0, 1, 1, 2)] {
+            m.record_shard(shard, reports, dense, entries);
         }
         let snapshot = registry.snapshot();
         assert_eq!(snapshot.counter("ingest_reports_total"), Some(6));
+        assert_eq!(snapshot.counter("ingest_dense_reports_total"), Some(4));
         assert_eq!(snapshot.counter("ingest_entries_total"), Some(12));
         assert_eq!(snapshot.counter("ingest_shard000_reports_total"), Some(1));
         assert_eq!(snapshot.counter("ingest_shard001_reports_total"), Some(5));
@@ -135,7 +142,7 @@ mod tests {
     fn out_of_range_shard_is_ignored() {
         let registry = Registry::new();
         let m = IngestMetrics::register(&registry, 1);
-        m.record_shard(5, 1, 1);
+        m.record_shard(5, 1, 0, 1);
         assert_eq!(registry.snapshot().counter("ingest_reports_total"), Some(1));
     }
 }

@@ -8,7 +8,9 @@
 //! order differs) is covered by a tolerance-based test against Welford
 //! running means. On full-mantissa floats, where any change of order or
 //! grouping would show, the bulk path must add each shard's reports in user
-//! order, entry by entry, for narrow and wide reports alike.
+//! order, entry by entry, for narrow and wide reports alike, and for full
+//! reports whether they hold every dimension in order (added as one pass
+//! over the sums) or reversed (scattered entry by entry).
 //!
 //! Every oracle here is test-local and shares no code with the engine: a
 //! plain loop over the reports, the same loop run per shard over the users
@@ -17,8 +19,8 @@
 //! The last tests treat reports as untrusted: a report carrying NaN or ±∞
 //! fails the bulk call without touching the engine, and only the shards
 //! whose walk finished count anything; `fill` is handed an empty buffer for
-//! every user; and the telemetry counts equal the reports and entries of the
-//! routed workload exactly.
+//! every user; and the telemetry counts equal the reports, dense reports and
+//! entries of the routed workload exactly.
 
 use hdldp_math::RunningMoments;
 use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError, ShardRouter};
@@ -60,30 +62,56 @@ fn dyadic_reports(dims: usize) -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> 
     })
 }
 
-/// Strategy: a report width of 1–8 entries, or a wide one of 300 or 5,000
-/// entries, so a worker's one report buffer is reused across widths far
-/// apart.
-fn report_width() -> impl Strategy<Value = usize> {
-    (0usize..10).prop_map(|class| match class {
-        0..=7 => class + 1,
-        8 => 300,
-        _ => 5_000,
+/// The shape of one drawn report.
+#[derive(Debug, Clone, Copy)]
+enum Shape {
+    /// This many entries on dimensions drawn at random.
+    Random(usize),
+    /// Every dimension once, in dimension order: the engine adds it as dense.
+    InOrder,
+    /// Every dimension once, in reverse order: full-length and valid, but
+    /// out of order, so the engine scatters it.
+    Reversed,
+}
+
+/// Strategy: a report of 1–8 random entries, a wide one of 300 or 5,000, so
+/// a worker's one report buffer is reused across widths far apart, or a full
+/// report in order or reversed.
+fn report_shape() -> impl Strategy<Value = Shape> {
+    (0usize..12).prop_map(|class| match class {
+        0..=7 => Shape::Random(class + 1),
+        8 => Shape::Random(300),
+        9 => Shape::Random(5_000),
+        10 => Shape::InOrder,
+        _ => Shape::Reversed,
     })
 }
 
-/// Reports of the given widths over `dims` dimensions, with full-mantissa
+/// Reports of the given shapes over `dims` dimensions, with full-mantissa
 /// values in `[-1000, 1000)` from a generator seeded with `seed`, so their
 /// sums round and the rounding follows the summation order.
-fn full_mantissa_reports(dims: usize, widths: &[usize], seed: u64) -> Vec<Vec<(usize, f64)>> {
+fn full_mantissa_reports(dims: usize, shapes: &[Shape], seed: u64) -> Vec<Vec<(usize, f64)>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    widths
+    shapes
         .iter()
-        .map(|&width| {
-            (0..width)
-                .map(|_| (rng.gen_range(0..dims), rng.gen_range(-1.0e3..1.0e3)))
+        .map(|&shape| {
+            let report = match shape {
+                Shape::Random(width) => (0..width).map(|_| rng.gen_range(0..dims)).collect(),
+                Shape::InOrder => (0..dims).collect(),
+                Shape::Reversed => (0..dims).rev().collect::<Vec<_>>(),
+            };
+            report
+                .into_iter()
+                .map(|dim| (dim, rng.gen_range(-1.0e3..1.0e3)))
                 .collect()
         })
         .collect()
+}
+
+/// Whether `report` holds every one of `dims` dimensions once, in order: the
+/// shape the engine adds as dense.
+fn is_dense(dims: usize, report: &[(usize, f64)]) -> bool {
+    report.len() == dims && report.iter().enumerate().all(|(i, &(dim, _))| dim == i)
 }
 
 /// Ingest `reports` into `engine` in one bulk call, user `u` sending
@@ -136,23 +164,32 @@ proptest! {
 
     /// On full-mantissa floats, `ingest_partitioned` gives each shard's sum
     /// in user order, entry by entry, added across shards in shard order, for
-    /// narrow reports and wide ones alike.
+    /// narrow reports and wide ones alike, and for full reports added as
+    /// dense or scattered, mixed in one call.
     #[test]
     fn bulk_sums_follow_user_order_within_each_shard(
         dims in 1usize..20,
-        widths in proptest::collection::vec(report_width(), 0..30),
+        shapes in proptest::collection::vec(report_shape(), 0..30),
         shards in 1usize..5,
         seed in 0..u64::MAX,
     ) {
-        let reports = full_mantissa_reports(dims, &widths, seed);
+        let reports = full_mantissa_reports(dims, &shapes, seed);
         let bits = |sums: &[f64]| sums.iter().map(|sum| sum.to_bits()).collect::<Vec<_>>();
         let (sums, counts) = shard_serial_sums(dims, shards, &reports);
-        let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, 256).unwrap()).unwrap();
+        let registry = Registry::new();
+        let config = IngestConfig::new(shards, 256).unwrap();
+        let mut engine = IngestEngine::with_telemetry(dims, config, &registry).unwrap();
         ingest_all(&mut engine, &reports);
         let merged = engine.merged().unwrap();
         prop_assert_eq!(bits(&merged.sums()), bits(&sums));
         prop_assert_eq!(merged.counts(), counts);
         prop_assert_eq!(merged.reports(), reports.len());
+        // Exactly the in-order full reports took the dense path.
+        let dense = reports.iter().filter(|report| is_dense(dims, report)).count();
+        prop_assert_eq!(
+            registry.snapshot().counter("ingest_dense_reports_total"),
+            Some(dense as u64)
+        );
     }
 
     /// On exact-addition inputs, the sharded engine reproduces the
@@ -287,7 +324,8 @@ fn a_failed_call_counts_only_the_shards_that_finished() {
     // 1,000 one-entry reports; user 900's value is NaN. Its shard's walk
     // fails and records nothing, every other shard's walk finishes and
     // records its routed load, and the engine itself stays empty. On one
-    // shard that leaves every `ingest_*` counter at 0.
+    // shard that leaves every `ingest_*` counter at 0. At d = 1 every
+    // finite one-entry report is dense.
     const BAD_USER: u64 = 900;
     let users = 1_000u64;
     for shards in [1, 3] {
@@ -315,14 +353,18 @@ fn a_failed_call_counts_only_the_shards_that_finished() {
             );
             finished += expected;
         }
-        for name in ["ingest_reports_total", "ingest_entries_total"] {
+        for name in [
+            "ingest_reports_total",
+            "ingest_dense_reports_total",
+            "ingest_entries_total",
+        ] {
             assert_eq!(snapshot.counter(name), Some(finished), "{name} of {shards}");
         }
         if shards == 1 {
             assert_eq!(finished, 0);
             let counters = snapshot.counters.iter();
             let ingest: Vec<_> = counters.filter(|c| c.name.starts_with("ingest_")).collect();
-            assert_eq!(ingest.len(), 4, "{ingest:?}");
+            assert_eq!(ingest.len(), 5, "{ingest:?}");
             assert!(ingest.iter().all(|c| c.value == 0), "{ingest:?}");
         }
     }
@@ -360,6 +402,9 @@ fn ingest_partitioned_counts_every_report_and_entry() {
     let honest = honest_reports();
     let entries: u64 = honest.iter().map(|report| report.len() as u64).sum();
     assert_eq!(entries, 1_500);
+    // Users 3, 15, 27, … send dimensions 0, 1, 2 in order.
+    let dense = honest.iter().filter(|report| is_dense(3, report)).count();
+    assert_eq!(dense, 84);
     for shards in [1, 2, 3] {
         let loads = routed_loads(shards, honest.len());
         let registry = Registry::new();
@@ -372,6 +417,11 @@ fn ingest_partitioned_counts_every_report_and_entry() {
         assert_eq!(
             snapshot.counter("ingest_reports_total"),
             Some(users),
+            "{shards} shards"
+        );
+        assert_eq!(
+            snapshot.counter("ingest_dense_reports_total"),
+            Some(dense as u64),
             "{shards} shards"
         );
         assert_eq!(
