@@ -3,44 +3,49 @@
 //! `IngestEngine::ingest_partitioned`, the path every pipeline runs.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdldp_protocol::{IngestConfig, IngestEngine};
+use hdldp_protocol::{IngestConfig, IngestEngine, Report};
 use hdldp_telemetry::Registry;
 
-type Reports = Vec<Vec<(usize, f64)>>;
-
-/// `count` reports of `entries_per_report` entries over `dims` dimensions,
-/// on scattered dimensions.
-fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Reports {
+/// `count` named reports of `entries_per_report` entries over `dims`
+/// dimensions, on scattered dimensions.
+fn make_reports(count: usize, dims: usize, entries_per_report: usize) -> Vec<Report> {
     (0..count)
         .map(|i| {
-            (0..entries_per_report)
-                .map(|k| (((i * 31 + k * 7) % dims), ((i + k) as f64 % 3.0) - 1.0))
-                .collect()
+            let mut report = Report::default();
+            for k in 0..entries_per_report {
+                report.push((i * 31 + k * 7) % dims, ((i + k) as f64 % 3.0) - 1.0);
+            }
+            report
         })
         .collect()
 }
 
 /// Bulk-ingest `reports` (user `u` sends `reports[u]`, copied into its shard
 /// worker's report buffer) and read the merged per-dimension counts.
-fn ingest_and_count(mut engine: IngestEngine, reports: &Reports) -> Vec<u64> {
+fn ingest_and_count(mut engine: IngestEngine, reports: &[Report]) -> Vec<u64> {
     engine
         .ingest_partitioned(0..reports.len() as u64, |user, out| {
-            out.extend_from_slice(black_box(&reports[user as usize]));
+            let report = black_box(&reports[user as usize]);
+            out.dims.extend_from_slice(&report.dims);
+            out.values.extend_from_slice(&report.values);
             Ok(())
         })
         .unwrap();
     engine.merged().unwrap().counts()
 }
 
-/// `count` dense reports: every one of `dims` dimensions once, in order.
-fn make_dense_reports(count: usize, dims: usize) -> Reports {
-    (0..count)
-        .map(|i| {
-            (0..dims)
-                .map(|j| (j, ((i + j) as f64 % 3.0) - 1.0))
-                .collect()
+/// Bulk-ingest `users` dense reports of `dims` values, each written in
+/// `fill` as a client or oracle writes its report, and read the merged
+/// per-dimension counts.
+fn ingest_dense_and_count(mut engine: IngestEngine, users: u64, dims: usize) -> Vec<u64> {
+    engine
+        .ingest_partitioned(0..users, |user, out| {
+            let base = black_box((user % 3) as f64 - 1.0);
+            out.values.extend((0..dims).map(|j| base + j as f64 * 1e-3));
+            Ok(())
         })
-        .collect()
+        .unwrap();
+    engine.merged().unwrap().counts()
 }
 
 fn bench_sharded_ingest(c: &mut Criterion) {
@@ -65,11 +70,12 @@ fn bench_sharded_ingest(c: &mut Criterion) {
             );
         }
     }
-    // Reports of every dimension in order, the shape of the m = d figures
-    // and the categorical oracles at k = 256, which the engine adds as one
-    // pass over the sums.
+    // Dense reports (every dimension's value in order, no dimension column),
+    // the shape of the m = d figures and the categorical oracles at k = 256,
+    // which the engine checks and adds in one pass over the sums. Each
+    // report is written in the worker's buffer, as a client or an oracle
+    // writes it, so the rows time the engine rather than a copy.
     let (count, dims) = (10_000usize, 256usize);
-    let reports = make_dense_reports(count, dims);
     for &shards in &[1usize, 4] {
         group.bench_with_input(
             BenchmarkId::new(format!("dense/shards{shards}"), format!("n{count}")),
@@ -78,7 +84,7 @@ fn bench_sharded_ingest(c: &mut Criterion) {
                 let config = IngestConfig::new(shards, 256).unwrap();
                 b.iter(|| {
                     let engine = IngestEngine::new(dims, config).unwrap();
-                    black_box(ingest_and_count(engine, &reports))
+                    black_box(ingest_dense_and_count(engine, count as u64, dims))
                 })
             },
         );

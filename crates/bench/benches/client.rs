@@ -5,7 +5,7 @@
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use hdldp_mechanisms::LaplaceMechanism;
-use hdldp_protocol::{BudgetSplit, Client};
+use hdldp_protocol::{BudgetSplit, Client, Report};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -24,14 +24,13 @@ fn bench_client_perturb_lazy(c: &mut Criterion) {
         let client = Client::new(&mechanism, budget, dims).expect("valid client");
         let value_of = |dim: usize| dim as f64 / dims as f64 * 2.0 - 1.0;
         group.bench_function(BenchmarkId::new(branch, format!("{dims}x{m}")), |b| {
-            let mut out = Vec::new();
+            let mut out = Report::default();
             let mut user = 0u64;
             b.iter(|| {
                 user += 1;
                 let mut rng = StdRng::seed_from_u64(black_box(user));
-                out.clear();
                 client.perturb_lazy_into(value_of, &mut rng, &mut out);
-                black_box(out.as_slice());
+                black_box(&out);
             })
         });
     }

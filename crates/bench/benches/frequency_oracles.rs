@@ -3,7 +3,7 @@
 //! category counts, and one whole collection through the ingest engine.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
-use hdldp_protocol::IngestConfig;
+use hdldp_protocol::{IngestConfig, Report};
 use hdldp_workloads::{CategoricalOracle, OracleKind, OraclePipeline};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -17,15 +17,14 @@ fn bench_perturb(c: &mut Criterion) {
             let oracle = CategoricalOracle::new(kind, k, 2.0).expect("valid oracle");
             group.bench_with_input(BenchmarkId::new(kind.name(), k), &k, |b, &k| {
                 let mut rng = StdRng::seed_from_u64(3);
-                let mut out = Vec::with_capacity(k);
+                let mut out = Report::default();
                 let mut value = 0usize;
                 b.iter(|| {
                     value = (value + 1) % k;
-                    out.clear();
                     oracle
                         .perturb_into(black_box(value), &mut rng, &mut out)
                         .expect("value in domain");
-                    black_box(out.len())
+                    black_box(out.values.len())
                 })
             });
         }
@@ -43,13 +42,12 @@ fn bench_estimate(c: &mut Criterion) {
             let n = 10_000u64;
             let mut counts = vec![0u64; k];
             let mut rng = StdRng::seed_from_u64(5);
-            let mut report = Vec::with_capacity(k);
+            let mut report = Report::default();
             for value in (0..k).cycle().take(n as usize) {
-                report.clear();
                 oracle
                     .perturb_into(value, &mut rng, &mut report)
                     .expect("value in domain");
-                for (count, &(_, entry)) in counts.iter_mut().zip(&report) {
+                for (count, &entry) in counts.iter_mut().zip(&report.values) {
                     *count += u64::from(entry == oracle.calibrated_one());
                 }
             }

@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks: single-value perturbation throughput of every
 //! mechanism at a representative per-dimension budget, and whole-report
-//! perturbation through `Mechanism::perturb_entries`.
+//! perturbation through `Mechanism::perturb_values`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use hdldp_mechanisms::{build_mechanism, MechanismKind};
@@ -27,10 +27,12 @@ fn bench_perturbation(c: &mut Criterion) {
 /// `figure_sweep` benchmark (Laplace and Piecewise at ε = 0.4/100, Square
 /// Wave at 10/100) and at ε = 1 for Duchi and Hybrid (where Hybrid mixes
 /// both components). The inputs span `[-1, 1]`; the buffer is reused, so
-/// each iteration is one copy of the inputs plus one dynamic dispatch.
+/// each iteration is one copy of the inputs plus one dynamic dispatch. The
+/// group keeps its `perturb_entries` ids, from before reports held their
+/// values in a column of their own.
 fn bench_report_perturbation(c: &mut Criterion) {
     const ENTRIES: usize = 100;
-    let inputs: Vec<(usize, f64)> = (0..ENTRIES).map(|j| (j, (j as f64).sin())).collect();
+    let inputs: Vec<f64> = (0..ENTRIES).map(|j| (j as f64).sin()).collect();
     let mut group = c.benchmark_group("perturb_entries");
     for (kind, epsilon) in [
         (MechanismKind::Laplace, 0.004),
@@ -45,7 +47,7 @@ fn bench_report_perturbation(c: &mut Criterion) {
             let mut report = inputs.clone();
             b.iter(|| {
                 report.copy_from_slice(&inputs);
-                mechanism.perturb_entries(black_box(&mut report), &mut rng);
+                mechanism.perturb_values(black_box(&mut report), &mut rng);
                 black_box(&report);
             })
         });

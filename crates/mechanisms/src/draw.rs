@@ -21,7 +21,7 @@
 //!
 //! Splitting a draw into "take the word" and "map the word" is what lets a
 //! mechanism draw a whole chunk of words first and transform them after
-//! (see `Mechanism::perturb_entries`): the transform no longer touches the
+//! (see `Mechanism::perturb_values`): the transform no longer touches the
 //! generator, so the compiler is free to vectorise it.
 
 /// `2⁻⁵³`, the weight of one step of the 53-bit integer behind [`unit()`].

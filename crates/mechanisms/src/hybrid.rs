@@ -104,7 +104,7 @@ impl Mechanism for HybridMechanism {
         (-b, b)
     }
 
-    /// Reports go through the provided per-value `perturb_entries`: a value
+    /// Reports go through the provided per-value `perturb_values`: a value
     /// takes one mixing coin (none when `α = 0`) and then the 2 words of a
     /// Piecewise report or the 1 word of a Duchi report, so its word count
     /// depends on the coin and a chunk's words cannot be drawn ahead.

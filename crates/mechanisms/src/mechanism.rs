@@ -141,8 +141,7 @@ pub trait Mechanism: Send + Sync {
     /// unusable as `dyn Mechanism`.
     fn perturb(&self, t: f64, rng: &mut StdRng) -> f64;
 
-    /// Perturb the value half of every `(dimension, value)` entry in place,
-    /// in order; the dimensions are left as they are.
+    /// Perturb every value of a report in place, in order.
     ///
     /// The contract is the per-value loop: an implementation consumes the
     /// same words from `rng`, in the same order, as calling
@@ -151,11 +150,11 @@ pub trait Mechanism: Send + Sync {
     /// per report: each implementation gets its own copy, in which `perturb`
     /// is a static call the compiler can inline. An implementation whose
     /// values each take a fixed number of words may instead draw a chunk's
-    /// words first, in entry order, and then transform the chunk; the
+    /// words first, in value order, and then transform the chunk; the
     /// Piecewise, Square Wave and Duchi mechanisms do, through their
     /// word-level `report` functions and the [`crate::draw`] forms.
-    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
-        for (_, value) in entries {
+    fn perturb_values(&self, values: &mut [f64], rng: &mut StdRng) {
+        for value in values {
             *value = self.perturb(*value, rng);
         }
     }
@@ -196,32 +195,32 @@ pub trait Mechanism: Send + Sync {
     }
 }
 
-/// Entries per chunk of [`perturb_in_chunks`]: 32 entries of `K ≤ 2` words
+/// Values per chunk of [`perturb_in_chunks`]: 32 values of `K ≤ 2` words
 /// keep the word buffer within 512 bytes of stack.
 const CHUNK: usize = 32;
 
-/// The two-pass `perturb_entries` of a mechanism whose every value takes
+/// The two-pass `perturb_values` of a mechanism whose every value takes
 /// exactly `K` words: `report(t, words)` perturbs `t` from the words `perturb`
 /// would draw for it.
 ///
-/// Each chunk of [`CHUNK`] entries is walked twice. The first pass draws
-/// every entry's `K` words, in entry order, into an on-stack buffer, which
+/// Each chunk of [`CHUNK`] values is walked twice. The first pass draws
+/// every value's `K` words, in value order, into an on-stack buffer, which
 /// is the order of the per-value loop. The second pass applies `report` to
-/// each entry and its words; it no longer touches the generator, so the
+/// each value and its words; it no longer touches the generator, so the
 /// compiler may vectorise it.
 pub(crate) fn perturb_in_chunks<const K: usize>(
-    entries: &mut [(usize, f64)],
+    values: &mut [f64],
     rng: &mut StdRng,
     report: impl Fn(f64, [u64; K]) -> f64,
 ) {
     let mut words = [[0u64; K]; CHUNK];
-    for chunk in entries.chunks_mut(CHUNK) {
+    for chunk in values.chunks_mut(CHUNK) {
         for slot in words.iter_mut().take(chunk.len()) {
             for word in slot.iter_mut() {
                 *word = rng.next_u64();
             }
         }
-        for ((_, value), &drawn) in chunk.iter_mut().zip(&words) {
+        for (value, &drawn) in chunk.iter_mut().zip(&words) {
             *value = report(*value, drawn);
         }
     }

@@ -112,14 +112,14 @@ impl<M: Mechanism> Mechanism for Rescaled<M> {
     }
 
     /// Maps the whole report into the native domain, runs the inner
-    /// mechanism's `perturb_entries` on it once, and maps it back. The maps
+    /// mechanism's `perturb_values` on it once, and maps it back. The maps
     /// draw nothing, so this consumes the words of the per-value loop.
-    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
-        for (_, value) in entries.iter_mut() {
+    fn perturb_values(&self, values: &mut [f64], rng: &mut StdRng) {
+        for value in values.iter_mut() {
             *value = self.to_native(*value);
         }
-        self.inner.perturb_entries(entries, rng);
-        for (_, value) in entries.iter_mut() {
+        self.inner.perturb_values(values, rng);
+        for value in values.iter_mut() {
             *value = self.from_native(*value);
         }
     }

@@ -154,8 +154,8 @@ impl Mechanism for SquareWaveMechanism {
         self.report(t, [rng.next_u64(), rng.next_u64()])
     }
 
-    fn perturb_entries(&self, entries: &mut [(usize, f64)], rng: &mut StdRng) {
-        perturb_in_chunks(entries, rng, |t, words| self.report(t, words));
+    fn perturb_values(&self, values: &mut [f64], rng: &mut StdRng) {
+        perturb_in_chunks(values, rng, |t, words| self.report(t, words));
     }
 
     fn bias(&self, t: f64) -> f64 {

@@ -8,7 +8,7 @@
 //! equivalent to reporting all dimensions from `nm/d` users, which is what
 //! makes `E[r_j] = nm/d`.
 
-use crate::{BudgetSplit, ProtocolError};
+use crate::{BudgetSplit, ProtocolError, Report};
 use hdldp_mechanisms::Mechanism;
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
@@ -82,25 +82,20 @@ impl<'a> Client<'a> {
         self.budget
     }
 
-    /// Perturb one user tuple, appending the report's `(dimension, value)`
-    /// entries to a caller-owned buffer: [`perturb_lazy_into`] over the
-    /// tuple's values, after a length check. Entries already in `out` are
-    /// left untouched.
+    /// Perturb one user tuple into `out`: [`perturb_lazy_into`] over the
+    /// tuple's values, after a length check. Like it, this replaces what
+    /// `out` held; a rejected tuple leaves `out` untouched.
     ///
     /// # Errors
     /// Returns [`ProtocolError::InvalidConfig`] when the tuple length does not
     /// match the configured dimensionality.
     ///
     /// [`perturb_lazy_into`]: Client::perturb_lazy_into
-    #[expect(
-        clippy::indexing_slicing,
-        reason = "tuple.len() == dims is checked first, and the sampler yields dims below dims"
-    )]
     pub fn perturb_tuple_into(
         &self,
         tuple: &[f64],
         rng: &mut StdRng,
-        out: &mut Vec<(usize, f64)>,
+        out: &mut Report,
     ) -> crate::Result<()> {
         if tuple.len() != self.dims {
             return Err(ProtocolError::InvalidConfig {
@@ -108,12 +103,15 @@ impl<'a> Client<'a> {
                 reason: format!("expected {} dimensions, got {}", self.dims, tuple.len()),
             });
         }
-        self.perturb_lazy_into(|j| tuple[j], rng, out);
+        // The sampler names dimensions below `dims == tuple.len()` only, so
+        // the fallback is never taken; it keeps the closure free of a panic
+        // path.
+        self.perturb_lazy_into(|j| tuple.get(j).copied().unwrap_or_default(), rng, out);
         Ok(())
     }
 
     /// Sample `m` dimensions and perturb values produced on demand by
-    /// `value_of`, appending the `(dimension, value)` entries to `out`.
+    /// `value_of`, writing the user's report into `out`.
     ///
     /// This is the scalable client path for simulated populations: a driver
     /// standing in for millions of users never needs to materialize a full
@@ -122,41 +120,43 @@ impl<'a> Client<'a> {
     ///
     /// The dimensions are those of the crate's one m-of-d sampler,
     /// `sample_dims_into` in this module: at `m = d` every dimension in
-    /// ascending order, with nothing drawn, and below that exactly those of
+    /// ascending order, with nothing drawn, sent as a **dense** report (the
+    /// `d` values alone, [`Report`]); below that exactly those of
     /// `rand::seq::index::sample(rng, d, m)`, in the same order and from the
-    /// same draws. Each value is then perturbed as one [`Mechanism::perturb`]
-    /// call in report order would, so the report is bit-identical to that
-    /// per-value path. Entries already in `out` are left untouched. Sampling
-    /// is allocation-free once `out` has grown, for the shapes listed on
-    /// `sample_dims_into`.
+    /// same draws, sent as **named** entries. Each value is then perturbed as
+    /// one [`Mechanism::perturb`] call in report order would, so the report
+    /// is bit-identical to that per-value path.
+    ///
+    /// `out` is cleared first, so it holds exactly this user's report
+    /// afterwards, whatever it held before: a dense report cannot follow
+    /// other entries, so there is no appending. Sampling is allocation-free
+    /// once `out` has grown, for the shapes listed on `sample_dims_into`.
     pub fn perturb_lazy_into<V: Fn(usize) -> f64>(
         &self,
         value_of: V,
         rng: &mut StdRng,
-        out: &mut Vec<(usize, f64)>,
+        out: &mut Report,
     ) {
-        let base = out.len();
         sample_dims_into(rng, self.dims, self.budget.reported_dims(), value_of, out);
-        if let Some(report) = out.get_mut(base..) {
-            self.mechanism.perturb_entries(report, rng);
-        }
+        self.mechanism.perturb_values(&mut out.values, rng);
     }
 }
 
-/// Append `amount` distinct dimensions from `0..length` to `out` as
-/// `(dimension, value_of(dimension))` entries, leaving the entries already
-/// there untouched. `value_of` is called once per sampled dimension, in
-/// report order, and never for the others.
+/// Write `amount` distinct dimensions from `0..length`, with
+/// `value_of(dimension)` for each, into `out`, replacing what it held.
+/// `value_of` is called once per sampled dimension, in report order, and
+/// never for the others.
 ///
-/// At `amount ≥ length` every dimension is reported: the sampler appends
-/// `0..length` in ascending order, writing each value in the same pass, and
-/// draws nothing. Every dimension is in the sample either way, so only the
-/// order of the report differs from a shuffle's, and that order carries
-/// nothing about the user's data.
+/// At `amount ≥ length` every dimension is reported: the sampler writes the
+/// dense shape, the values of `0..length` in ascending order with no
+/// dimension column, and draws nothing. Every dimension is in the sample
+/// either way, so only the order of the report differs from a shuffle's, and
+/// that order carries nothing about the user's data.
 ///
-/// Below that, the dimensions are exactly those `rand::seq::index::sample(rng,
-/// length, amount)` returns, in the same order and from the same `gen_range`
-/// draws, and the branches split where the vendored sampler's do:
+/// Below that, it writes named entries: the dimensions are exactly those
+/// `rand::seq::index::sample(rng, length, amount)` returns, in the same order
+/// and from the same `gen_range` draws, each written with its value in the
+/// same pass, and the branches split where the vendored sampler's do:
 ///
 /// * sparse (`2·amount < length`), at most [`DISPLACED_CAPACITY`]
 ///   dimensions: the vendored sparse partial Fisher–Yates shuffle, with its
@@ -165,33 +165,38 @@ impl<'a> Client<'a> {
 ///   own index);
 /// * sparse, more dimensions: the vendored sampler itself, which allocates
 ///   a `Vec` and a `HashMap` per call;
-/// * dense (`2·amount ≥ length`): the same partial shuffle over a pool of
-///   all `length` dimensions laid out in `out` itself, truncated to the
-///   first `amount`.
+/// * dense sampling (`2·amount ≥ length`): the same partial shuffle over a
+///   pool of all `length` dimensions laid out in the dimension column
+///   itself, truncated to the first `amount`.
 ///
-/// Only the second branch allocates; the others make no heap allocation once
-/// `out` has spare capacity for `amount` entries (every dimension and the
-/// sparse table) or `length` entries (the dense pool).
+/// `value_of` cannot draw from `rng`, so evaluating a value beside its
+/// dimension keeps the per-value path's draw order. Only the second branch
+/// allocates; the others make no heap allocation once `out`'s columns have
+/// spare capacity for `amount` entries (every dimension and the sparse
+/// table) or `length` dimensions (the dense pool).
 #[expect(
     clippy::indexing_slicing,
-    reason = "len <= i < amount <= DISPLACED_CAPACITY bounds every displaced index, and the dense pool holds length entries"
+    reason = "len <= i < amount <= DISPLACED_CAPACITY bounds every displaced index"
 )]
 pub(crate) fn sample_dims_into<V: Fn(usize) -> f64>(
     rng: &mut StdRng,
     length: usize,
     amount: usize,
     value_of: V,
-    out: &mut Vec<(usize, f64)>,
+    out: &mut Report,
 ) {
+    out.clear();
     if amount >= length {
-        out.extend((0..length).map(|dim| (dim, value_of(dim))));
+        out.values.extend((0..length).map(value_of));
         return;
     }
-    let base = out.len();
+    out.dims.reserve(amount);
+    out.values.reserve(amount);
     let sparse = amount.saturating_mul(2) < length;
     if sparse && amount <= DISPLACED_CAPACITY {
-        // `(position, dimension)` pairs with unique positions; `len ≤ i <
-        // amount ≤ DISPLACED_CAPACITY` keeps every index below in range.
+        // `(position, dimension)` pairs with unique positions; the first
+        // `len` are in use, and `len ≤ i < amount ≤ DISPLACED_CAPACITY`
+        // keeps every slot the loop writes in range.
         let mut displaced = [(0usize, 0usize); DISPLACED_CAPACITY];
         let mut len = 0;
         for i in 0..amount {
@@ -206,33 +211,24 @@ pub(crate) fn sample_dims_into<V: Fn(usize) -> f64>(
                     moved = dim;
                 }
             }
-            out.push((picked, 0.0));
+            out.push(picked, value_of(picked));
             displaced[slot] = (j, moved);
             if slot == len {
                 len += 1;
             }
         }
     } else if sparse {
-        out.extend(
-            sample(rng, length, amount)
-                .into_iter()
-                .map(|dim| (dim, 0.0)),
-        );
+        for dim in sample(rng, length, amount) {
+            out.push(dim, value_of(dim));
+        }
     } else {
-        out.extend((0..length).map(|dim| (dim, 0.0)));
-        if let Some(pool) = out.get_mut(base..) {
-            for i in 0..amount {
-                pool.swap(i, rng.gen_range(i..length));
-            }
+        let pool = &mut out.dims;
+        pool.extend(0..length);
+        for i in 0..amount {
+            pool.swap(i, rng.gen_range(i..length));
         }
-        out.truncate(base + amount);
-    }
-    // `value_of` cannot draw from `rng`, so evaluating the values after the
-    // draws keeps the per-value path's draw order.
-    if let Some(report) = out.get_mut(base..) {
-        for (dim, value) in report.iter_mut() {
-            *value = value_of(*dim);
-        }
+        pool.truncate(amount);
+        out.values.extend(pool.iter().map(|&dim| value_of(dim)));
     }
 }
 
@@ -244,10 +240,10 @@ mod tests {
     use rand::SeedableRng;
 
     /// One report through `perturb_tuple_into`, in a fresh buffer.
-    fn report(client: &Client<'_>, tuple: &[f64], rng: &mut StdRng) -> Vec<(usize, f64)> {
-        let mut entries = Vec::new();
-        client.perturb_tuple_into(tuple, rng, &mut entries).unwrap();
-        entries
+    fn report(client: &Client<'_>, tuple: &[f64], rng: &mut StdRng) -> Report {
+        let mut report = Report::default();
+        client.perturb_tuple_into(tuple, rng, &mut report).unwrap();
+        report
     }
 
     #[test]
@@ -270,9 +266,9 @@ mod tests {
         let tuple = vec![0.1; 10];
         let mut rng = StdRng::seed_from_u64(7);
         for _ in 0..200 {
-            let entries = report(&client, &tuple, &mut rng);
-            assert_eq!(entries.len(), 3);
-            let mut dims: Vec<usize> = entries.iter().map(|(d, _)| *d).collect();
+            let report = report(&client, &tuple, &mut rng);
+            assert_eq!(report.values.len(), 3);
+            let mut dims = report.dims;
             dims.sort_unstable();
             dims.dedup();
             assert_eq!(dims.len(), 3, "sampled dimensions must be distinct");
@@ -286,15 +282,20 @@ mod tests {
         let mech = LaplaceMechanism::new(1.0).unwrap();
         let client = Client::new(&mech, budget, 5).unwrap();
         let mut rng = StdRng::seed_from_u64(1);
-        let mut out = vec![(9, 0.5)];
+        let mut out = Report::default();
+        out.push(9, 0.5);
+        let held = out.clone();
         assert!(client
             .perturb_tuple_into(&[0.0; 4], &mut rng, &mut out)
             .is_err());
-        assert_eq!(out, vec![(9, 0.5)], "a rejected tuple appends nothing");
+        assert_eq!(out, held, "a rejected tuple leaves the buffer untouched");
         assert!(client
             .perturb_tuple_into(&[0.0; 5], &mut rng, &mut out)
             .is_ok());
-        assert_eq!(out.len(), 2);
+        // An accepted one replaces it with the m = 1 named entry.
+        assert_eq!(out.values.len(), 1);
+        assert_eq!(out.dims.len(), 1);
+        assert!(out.dims[0] < 5);
     }
 
     #[test]
@@ -306,7 +307,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut seen = [0usize; 6];
         for _ in 0..600 {
-            seen[report(&client, &tuple, &mut rng)[0].0] += 1;
+            seen[report(&client, &tuple, &mut rng).dims[0]] += 1;
         }
         // Every dimension should be picked roughly 100 times.
         for (j, &count) in seen.iter().enumerate() {
@@ -315,22 +316,31 @@ mod tests {
     }
 
     #[test]
-    fn perturb_tuple_into_appends_the_lazy_report() {
+    fn perturb_tuple_into_writes_the_lazy_report() {
         let budget = BudgetSplit::new(2.0, 3).unwrap();
         let mech = PiecewiseMechanism::new(budget.per_dimension()).unwrap();
-        let client = Client::new(&mech, budget, 8).unwrap();
-        let tuple: Vec<f64> = (0..8).map(|i| (i as f64) / 8.0 - 0.5).collect();
-        let mut rng_a = StdRng::seed_from_u64(21);
-        let mut rng_b = StdRng::seed_from_u64(21);
-        let mut lazy = vec![(7, 0.5)];
-        client.perturb_lazy_into(|j| tuple[j], &mut rng_a, &mut lazy);
-        let mut entries = vec![(7, 0.5)];
-        client
-            .perturb_tuple_into(&tuple, &mut rng_b, &mut entries)
-            .unwrap();
-        assert_eq!(entries, lazy);
-        assert_eq!(entries.len(), 4);
-        assert_eq!(rng_a, rng_b);
+        for (dims, shape) in [(8, "named"), (3, "dense")] {
+            let client = Client::new(&mech, budget, dims).unwrap();
+            let tuple: Vec<f64> = (0..dims).map(|i| (i as f64) / 8.0 - 0.5).collect();
+            let mut rng_a = StdRng::seed_from_u64(21);
+            let mut rng_b = StdRng::seed_from_u64(21);
+            let mut rng_c = StdRng::seed_from_u64(21);
+            // Both buffers start with a stale entry, which is replaced.
+            let mut lazy = Report::default();
+            lazy.push(7, 0.5);
+            client.perturb_lazy_into(|j| tuple[j], &mut rng_a, &mut lazy);
+            let mut entries = lazy.clone();
+            entries.push(7, 0.5);
+            client
+                .perturb_tuple_into(&tuple, &mut rng_b, &mut entries)
+                .unwrap();
+            assert_eq!(entries, lazy, "{shape}");
+            assert_eq!(entries, report(&client, &tuple, &mut rng_c), "{shape}");
+            assert_eq!(entries.values.len(), 3, "{shape}");
+            let expected_dims = if dims == 3 { 0 } else { 3 };
+            assert_eq!(entries.dims.len(), expected_dims, "{shape}");
+            assert_eq!(rng_a, rng_b);
+        }
     }
 
     #[test]
@@ -341,7 +351,7 @@ mod tests {
         let client = Client::new(&mech, budget, 100).unwrap();
         let evaluated = RefCell::new(Vec::new());
         let mut rng = StdRng::seed_from_u64(3);
-        let mut out = Vec::new();
+        let mut out = Report::default();
         client.perturb_lazy_into(
             |j| {
                 evaluated.borrow_mut().push(j);
@@ -350,11 +360,10 @@ mod tests {
             &mut rng,
             &mut out,
         );
-        assert_eq!(out.len(), 2);
+        assert_eq!(out.values.len(), 2);
         let touched = evaluated.into_inner();
         assert_eq!(touched.len(), 2, "only the m sampled dims are evaluated");
-        let sampled: Vec<usize> = out.iter().map(|&(j, _)| j).collect();
-        assert_eq!(touched, sampled);
+        assert_eq!(touched, out.dims);
     }
 
     #[test]
@@ -366,7 +375,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let tuple = [0.9, -0.9, 0.0, 0.4];
         for _ in 0..500 {
-            for (_, v) in report(&client, &tuple, &mut rng) {
+            for v in report(&client, &tuple, &mut rng).values {
                 assert!(v >= lo - 1e-12 && v <= hi + 1e-12);
             }
         }

@@ -25,6 +25,17 @@ pub enum ProtocolError {
         /// The dimension the value was reported for.
         dimension: usize,
     },
+    /// A report's columns fit neither report shape: they name one dimension
+    /// per value, or none with exactly one value per dimension
+    /// ([`crate::Report`]).
+    MalformedReport {
+        /// Length of the report's dimension column.
+        dimensions: usize,
+        /// Length of the report's value column.
+        values: usize,
+        /// The configured dimensionality.
+        dims: usize,
+    },
     /// A dimension received no reports, so its mean cannot be estimated.
     EmptyDimension {
         /// The dimension with zero reports.
@@ -58,6 +69,15 @@ impl fmt::Display for ProtocolError {
             ProtocolError::NonFiniteValue { dimension } => {
                 write!(f, "report value for dimension {dimension} is not finite")
             }
+            ProtocolError::MalformedReport {
+                dimensions,
+                values,
+                dims,
+            } => write!(
+                f,
+                "report of {values} values names {dimensions} dimensions: expected one \
+                 dimension per value, or none and {dims} values (d = {dims})"
+            ),
             ProtocolError::EmptyDimension { dimension } => {
                 write!(f, "dimension {dimension} received no reports")
             }
@@ -114,6 +134,13 @@ mod tests {
         assert!(e.to_string().contains("10"));
         let e = ProtocolError::NonFiniteValue { dimension: 3 };
         assert!(e.to_string().contains("dimension 3"));
+        let e = ProtocolError::MalformedReport {
+            dimensions: 2,
+            values: 3,
+            dims: 4,
+        };
+        assert!(e.to_string().contains("3 values names 2 dimensions"));
+        assert!(e.to_string().contains("d = 4"));
         let e = ProtocolError::MetricComputation {
             metric: "mse",
             input: "truth",

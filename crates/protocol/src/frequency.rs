@@ -10,7 +10,9 @@
 //! framework and HDR4ME apply unchanged.
 
 use crate::client::sample_dims_into;
-use crate::{user_seed, BudgetSplit, IngestConfig, IngestEngine, PipelineConfig, ProtocolError};
+use crate::{
+    user_seed, BudgetSplit, IngestConfig, IngestEngine, PipelineConfig, ProtocolError, Report,
+};
 use hdldp_data::CategoricalDataset;
 use hdldp_mechanisms::{
     DuchiMechanism, HybridMechanism, LaplaceMechanism, Mechanism, MechanismKind,
@@ -146,7 +148,9 @@ impl FrequencyPipeline {
     /// over a flat `(dimension, category)` index: dimension `j` owns entries
     /// `offsets[j]..offsets[j + 1]`, so the engine's merged means are the
     /// category frequencies, and a report's `v_j` entries all count towards
-    /// the `r_j` read at `offsets[j]`. The engine runs on
+    /// the `r_j` read at `offsets[j]`. At `m = d` the one-hot blocks cover
+    /// every flat index in order, so each report is sent dense (its values
+    /// alone); below `m = d` it is sent as named entries. The engine runs on
     /// [`IngestConfig::PINNED`], so the estimate's bits do not follow the
     /// host's CPU count.
     ///
@@ -180,9 +184,9 @@ impl FrequencyPipeline {
             expand_one_hot(out, &offsets, |j| {
                 data.value(user as usize, j).map_err(ProtocolError::from)
             })?;
-            // One call perturbs the report's entries in order, drawing what
-            // one `perturb` per entry would.
-            mechanism.perturb_entries(out, &mut rng);
+            // One call perturbs the report's values in order, drawing what
+            // one `perturb` per value would.
+            mechanism.perturb_values(&mut out.values, &mut rng);
             Ok(())
         })?;
 
@@ -217,11 +221,14 @@ impl FrequencyPipeline {
 /// the entries `offsets[j]..offsets[j + 1]`, `1.0` at `category(j)` and `0.0`
 /// elsewhere.
 ///
-/// The blocks are written back to front in place. Every dimension has at
-/// least two categories, so the `k`-th block starts at or after position
-/// `k`, and each sampled dimension is read before its block can overwrite it.
+/// A dense sample (every categorical dimension, in order) expands to blocks
+/// that cover every flat index in order, so the report stays dense: its
+/// values alone. A named sample expands in place, both columns back to
+/// front: every dimension has at least two categories, so the `k`-th block
+/// starts at or after position `k`, and each sampled dimension is read
+/// before its block can overwrite it.
 fn expand_one_hot(
-    report: &mut Vec<(usize, f64)>,
+    report: &mut Report,
     offsets: &[usize],
     category: impl Fn(usize) -> crate::Result<usize>,
 ) -> crate::Result<()> {
@@ -229,21 +236,40 @@ fn expand_one_hot(
         Some(&[lo, hi]) => lo..hi,
         _ => 0..0,
     };
-    let sampled = report.len();
-    let width: usize = report.iter().map(|&(j, _)| block(j).len()).sum();
-    report.resize(width, (0, 0.0));
+    // Entry `e` of the block starting at `lo`, for category `value`.
+    let bit = |e: usize, lo: usize, value: usize| if e - lo == value { 1.0 } else { 0.0 };
+    if report.dims.is_empty() {
+        let sampled = report.values.len();
+        report.values.clear();
+        for j in 0..sampled {
+            let (flat, value) = (block(j), category(j)?);
+            let lo = flat.start;
+            report.values.extend(flat.map(|e| bit(e, lo, value)));
+        }
+        return Ok(());
+    }
+    let sampled = report.dims.len();
+    let width: usize = report.dims.iter().map(|&j| block(j).len()).sum();
+    report.dims.resize(width, 0);
+    report.values.resize(width, 0.0);
     let mut end = width;
     for k in (0..sampled).rev() {
-        let Some(&(j, _)) = report.get(k) else {
+        let Some(&j) = report.dims.get(k) else {
             continue;
         };
         let (flat, value) = (block(j), category(j)?);
         let lo = flat.start;
         end -= flat.len();
-        if let Some(entries) = report.get_mut(end..end + flat.len()) {
-            for (entry, e) in entries.iter_mut().zip(flat) {
-                *entry = (e, if e - lo == value { 1.0 } else { 0.0 });
-            }
+        let span = end..end + flat.len();
+        let (Some(dims), Some(values)) = (
+            report.dims.get_mut(span.clone()),
+            report.values.get_mut(span),
+        ) else {
+            continue;
+        };
+        for ((dim, entry), e) in dims.iter_mut().zip(values.iter_mut()).zip(flat) {
+            *dim = e;
+            *entry = bit(e, lo, value);
         }
     }
     Ok(())

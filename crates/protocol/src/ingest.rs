@@ -15,22 +15,26 @@
 //!   dimension, merged **on read**.
 //!
 //! The collector treats every report as untrusted. Each shard worker has one
-//! reusable report buffer, a flat array of `(usize dimension, f64 perturbed
-//! value)` entries, the type [`crate::Client`] and `Mechanism::perturb_entries`
-//! write. A user's report is written there, checked with one branch-free scan
-//! that rejects an entry naming a dimension `>= d` or carrying a NaN or
-//! infinite value, and added straight to the worker's shard sums; a rejected
-//! report fails the call and leaves the engine untouched. A report is written
-//! once, checked once and never copied, and once the buffer has grown to the
-//! widest report, the walk allocates nothing.
+//! reusable [`crate::Report`], two columns (dimensions and perturbed values)
+//! that [`crate::Client`], the categorical oracles and
+//! `Mechanism::perturb_values` write in place. A user's report is written
+//! there and then checked and added to the worker's shard sums in one step
+//! per shape ([`crate::ShardAccumulator`]):
 //!
-//! The check also tells whether a report is *dense*: every dimension once,
-//! in order, as the m = d clients and the categorical oracles send it. The
-//! report's own shape picks how it is added. A dense report is one streaming
-//! add per entry into the sums, with no count store, since it raises every
-//! `r_j` by one; any other report is scattered, two indexed adds per entry
-//! (sum and count). Either way each sum receives the same values in the same
-//! order.
+//! * a **dense** report — no dimension column and exactly `d` values, value
+//!   `j` for dimension `j`, as the m = d clients and the categorical oracles
+//!   send it — is one pass `sums[j] += v_j` that also ORs each value's
+//!   finiteness bit, with no count store, since it raises every `r_j` by
+//!   one;
+//! * a **named** report — one dimension per value — is scanned for a
+//!   dimension `>= d` or a NaN or infinite value, then scattered, two
+//!   indexed adds per entry (sum and count).
+//!
+//! Any other shape, and any bad value or dimension, fails the call, and the
+//! engine is left untouched. Either way each sum receives the same values in
+//! the same order. A report is written once, checked once and never copied,
+//! and once the buffer has grown to the widest report, the walk allocates
+//! nothing.
 //!
 //! The resulting [`IngestEngine`] produces the same estimated means as a
 //! single loop over the reports, up to the floating-point rounding of the
@@ -41,23 +45,30 @@
 //! ```
 //! use hdldp_protocol::{IngestConfig, IngestEngine};
 //!
-//! let reports = [vec![(0, 0.5), (3, -1.0)], vec![(1, 1.0), (2, 0.0)]];
+//! // User 0 names two dimensions; user 1 sends all four in order.
+//! let named = [(0, 0.5), (3, -1.0)];
 //! let mut engine = IngestEngine::new(4, IngestConfig::new(8, 256).unwrap()).unwrap();
 //! engine
 //!     .ingest_partitioned(0..2, |user, out| {
-//!         out.extend_from_slice(&reports[user as usize]);
+//!         if user == 0 {
+//!             for (dim, value) in named {
+//!                 out.push(dim, value);
+//!             }
+//!         } else {
+//!             out.values.extend([1.0, 0.0, 2.0, 1.0]);
+//!         }
 //!         Ok(())
 //!     })
 //!     .unwrap();
 //! let merged = engine.merged().unwrap();
 //! assert_eq!(merged.reports(), 2);
-//! assert_eq!(merged.counts(), &[1, 1, 1, 1]);
+//! assert_eq!(merged.counts(), &[2, 1, 1, 2]);
+//! assert_eq!(merged.sums(), &[1.5, 0.0, 2.0, 0.0]);
 //! ```
 
-use crate::report::check_entries;
 use crate::shard::{ShardAccumulator, ShardRouter};
 use crate::telemetry::IngestMetrics;
-use crate::ProtocolError;
+use crate::{ProtocolError, Report};
 use hdldp_telemetry::Registry;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -126,7 +137,8 @@ impl IngestConfig {
 /// reports — independent of thread count and scheduling.
 ///
 /// Engines built with [`IngestEngine::with_telemetry`] record runtime metrics
-/// (reports, dense reports, entries and per-shard load, plus merge latency)
+/// (reports, dense-shape reports, values and per-shard load, plus merge
+/// latency)
 /// into the given [`Registry`] once per shard per call, when the shard's walk
 /// finishes, so the per-report path performs no atomic traffic.
 /// [`IngestEngine::new`] wires the engine to a disabled registry, which
@@ -180,26 +192,38 @@ impl IngestEngine {
     /// Bulk-ingest the user range `users` in parallel, one worker per shard:
     /// the one way a report enters the engine.
     ///
-    /// `fill` appends user `u`'s report, its `(dimension, value)` entries, to
-    /// the empty buffer it is handed. Each report is then checked with one
-    /// branch-free scan (every dimension below `d`, every value finite) and
-    /// added to its shard's sums: in one pass when it is dense (every
-    /// dimension once, in order), entry by entry otherwise.
+    /// `fill` writes user `u`'s report into the empty [`Report`] it is
+    /// handed, in either shape: dense (no dimension column, exactly `d`
+    /// values) or named (one dimension per value). The worker then checks
+    /// the report and adds it to its shard's sums in one step
+    /// ([`ShardAccumulator`]): a dense report in one pass that also tests
+    /// every value's finiteness, a named one by a range-and-finiteness scan
+    /// and then the scatter.
     ///
     /// Each shard's worker walks the whole range but generates reports only
     /// for the users that hash to it, in increasing id order, so reports stay
     /// shard-local: no locks, no cross-thread report traffic. A worker that
-    /// finishes its walk records its shard's reports and entries in the
-    /// telemetry counters once; a worker whose walk fails records nothing.
+    /// finishes its walk records its shard's reports, dense-shape reports and
+    /// values in the telemetry counters once; a worker whose walk fails
+    /// records nothing.
+    ///
+    /// A worker adds into a partial accumulator of its own for this call,
+    /// and the engine merges the partials only once every worker has
+    /// succeeded. That is what makes the dense pass's fused check sound: it
+    /// may add part of a rejected report to the failing worker's partial
+    /// before it sees a bad value, but that partial is dropped, nothing is
+    /// merged and the failing shard counts nothing, so no value of a rejected
+    /// report reaches an estimate.
     ///
     /// # Errors
     /// Propagates the first error of `fill`; returns
+    /// [`ProtocolError::MalformedReport`],
     /// [`ProtocolError::DimensionOutOfRange`] or
     /// [`ProtocolError::NonFiniteValue`] for a rejected report. The engine's
     /// reports and sums are untouched when any shard fails.
     pub fn ingest_partitioned<F>(&mut self, users: Range<u64>, fill: F) -> crate::Result<()>
     where
-        F: Fn(u64, &mut Vec<(usize, f64)>) -> crate::Result<()> + Sync,
+        F: Fn(u64, &mut Report) -> crate::Result<()> + Sync,
     {
         let dims = self.dims;
         let router = self.router;
@@ -209,19 +233,18 @@ impl IngestEngine {
             .into_par_iter()
             .map(|shard| {
                 let mut acc = ShardAccumulator::new(dims)?;
-                let mut report = Vec::new();
-                let mut entries = 0;
+                let mut report = Report::default();
+                let mut values = 0;
                 for user_id in users.clone() {
                     if router.route(user_id) != shard {
                         continue;
                     }
                     report.clear();
                     fill(user_id, &mut report)?;
-                    let dense = check_entries(&report, dims)?;
-                    acc.add_report(&report, dense);
-                    entries += report.len();
+                    acc.add_report(&report)?;
+                    values += report.values.len();
                 }
-                metrics.record_shard(shard, acc.reports(), acc.dense_reports(), entries);
+                metrics.record_shard(shard, acc.reports(), acc.dense_reports(), values);
                 Ok(acc)
             })
             .collect();
@@ -264,10 +287,13 @@ impl IngestEngine {
 mod tests {
     use super::*;
 
-    /// Ingest `reports` into `engine`, user `u` sending `reports[u]`.
+    /// Ingest `reports` into `engine`, user `u` sending `reports[u]` as
+    /// named entries.
     fn ingest(engine: &mut IngestEngine, reports: &[Vec<(usize, f64)>]) -> crate::Result<()> {
         engine.ingest_partitioned(0..reports.len() as u64, |user, out| {
-            out.extend_from_slice(&reports[user as usize]);
+            for &(dim, value) in &reports[user as usize] {
+                out.push(dim, value);
+            }
             Ok(())
         })
     }
@@ -318,7 +344,7 @@ mod tests {
             if uid == 7 {
                 return Err(ProtocolError::EmptyDimension { dimension: 0 });
             }
-            out.push((0, 1.0));
+            out.push(0, 1.0);
             Ok(())
         });
         assert!(result.is_err());

@@ -18,9 +18,9 @@
 //!
 //! * [`budget`] — privacy-budget accounting and splitting.
 //! * [`client`] — user-side sampling and perturbation.
-//! * `report` (private) — the collector's check of one report: every
-//!   `(dimension, value)` entry names a dimension below `d` and carries a
-//!   finite value.
+//! * [`Report`] — one user's report, a dimension column and a value column,
+//!   sent dense (every dimension in order, values only) or named (one
+//!   dimension per value); its module holds the collector's checks of both.
 //! * [`shard`] — hash-based shard routing and per-shard partial sums/counts.
 //! * [`ingest`] — the sharded ingest engine (each report checked and added
 //!   shard-locally, merge-on-read estimation): the collector's one
@@ -53,6 +53,7 @@ pub use frequency::{normalize_frequencies, FrequencyEstimate, FrequencyPipeline}
 pub use ingest::{IngestConfig, IngestEngine};
 pub use metrics::UtilityReport;
 pub use pipeline::{user_seed, MeanEstimate, MeanEstimationPipeline, PipelineConfig};
+pub use report::Report;
 pub use shard::{ShardAccumulator, ShardRouter};
 pub use telemetry::{IngestMetrics, PipelineMetrics};
 

@@ -6,7 +6,7 @@
 //! stay `Clone` and worker threads record into the same metrics. Bundles
 //! registered against [`Registry::disabled`] carry only no-op handles: every
 //! recording call is a single branch, nothing allocates, and the per-report
-//! path is untouched (each shard worker records its reports and entries
+//! path is untouched (each shard worker records its reports and values
 //! once, when its walk of an ingest call succeeds).
 //!
 //! Metric names are stable and documented in `docs/OBSERVABILITY.md`:
@@ -14,8 +14,8 @@
 //! | name | kind | meaning |
 //! |------|------|---------|
 //! | `ingest_reports_total` | counter | reports added to shard accumulators |
-//! | `ingest_dense_reports_total` | counter | of those, dense reports (every dimension once, in order) |
-//! | `ingest_entries_total` | counter | `(dimension, value)` entries added |
+//! | `ingest_dense_reports_total` | counter | of those, reports sent in the dense shape (values only, one per dimension in order) |
+//! | `ingest_entries_total` | counter | values added (a dense report's `d` and a named report's entries) |
 //! | `ingest_merges_total` | counter | merge-on-read operations |
 //! | `ingest_merge_ns` | histogram | latency of one full merge-on-read |
 //! | `ingest_shardNNN_reports_total` | counter | reports added by shard `NNN` |
@@ -40,10 +40,11 @@ pub const PERTURB_SAMPLE_EVERY: u64 = 64;
 pub struct IngestMetrics {
     /// Reports added to shard accumulators (`ingest_reports_total`).
     pub reports: Counter,
-    /// Of those, the dense reports, added as one pass over the sums
-    /// (`ingest_dense_reports_total`).
+    /// Of those, the reports sent in the dense shape (values only), added
+    /// as one pass over the sums (`ingest_dense_reports_total`).
     pub dense_reports: Counter,
-    /// Entries added to shard accumulators (`ingest_entries_total`).
+    /// Values added to shard accumulators, one per dimension of a dense
+    /// report and one per entry of a named one (`ingest_entries_total`).
     pub entries: Counter,
     /// Merge-on-read operations (`ingest_merges_total`).
     pub merges: Counter,
@@ -69,12 +70,12 @@ impl IngestMetrics {
         }
     }
 
-    /// Record the reports, dense reports and entries shard `shard` added in
-    /// one walk of an ingest call.
-    pub(crate) fn record_shard(&self, shard: usize, reports: usize, dense: u64, entries: usize) {
+    /// Record the reports, dense-shape reports and values shard `shard`
+    /// added in one walk of an ingest call.
+    pub(crate) fn record_shard(&self, shard: usize, reports: usize, dense: u64, values: usize) {
         self.reports.add(reports as u64);
         self.dense_reports.add(dense);
-        self.entries.add(entries as u64);
+        self.entries.add(values as u64);
         if let Some(counter) = self.shard_reports.get(shard) {
             counter.add(reports as u64);
         }

@@ -1,11 +1,12 @@
 //! Oracle collection pipeline over the sharded ingest engine.
 //!
 //! [`OraclePipeline`] runs one categorical dimension end-to-end: every user's
-//! value is perturbed by a [`CategoricalOracle`] into calibrated one-hot
-//! entries (one per category) and routed through the sharded
-//! [`IngestEngine`] exactly like the numeric million-user path. Because the
-//! calibrated entries are unbiased, the engine's per-category means *are* the
-//! oracle's frequency estimates — no separate aggregation step.
+//! value is perturbed by a [`CategoricalOracle`] into a dense report of
+//! calibrated one-hot values (one per category, in category order) and
+//! routed through the sharded [`IngestEngine`] exactly like the numeric
+//! million-user path. Because the calibrated values are unbiased, the
+//! engine's per-category means *are* the oracle's frequency estimates — no
+//! separate aggregation step.
 //!
 //! Per-user randomness is derived deterministically from a run seed and the
 //! user id, so a fixed seed reproduces the same estimate bit-for-bit; the

@@ -33,6 +33,7 @@
 use crate::{Result, WorkloadError};
 use hdldp_mechanisms::draw::{below_threshold, bernoulli_threshold};
 use hdldp_mechanisms::{Bound, Mechanism};
+use hdldp_protocol::Report;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore};
 
@@ -166,47 +167,48 @@ impl CategoricalOracle {
         e * (1.0 - e) / ((self.p - self.q) * (self.p - self.q))
     }
 
-    /// Perturb one categorical value into calibrated one-hot entries,
-    /// appending `(category, calibrated_bit)` for **all** `k` categories to
-    /// `out` (the dense layout the sharded ingest engine expects), after any
-    /// entries already there, which are left untouched.
+    /// Perturb one categorical value into its calibrated one-hot report,
+    /// written into `out` in the dense shape: the `k` calibrated bits alone,
+    /// value `j` for category `j`, with no dimension column. `out` is cleared
+    /// first, so it holds exactly this report afterwards; a value out of the
+    /// domain leaves it untouched.
     ///
     /// # Errors
     /// Returns [`WorkloadError::ValueOutOfDomain`] when `value >= k`.
-    pub fn perturb_into(
-        &self,
-        value: usize,
-        rng: &mut StdRng,
-        out: &mut Vec<(usize, f64)>,
-    ) -> Result<()> {
+    pub fn perturb_into(&self, value: usize, rng: &mut StdRng, out: &mut Report) -> Result<()> {
         if value >= self.categories {
             return Err(WorkloadError::ValueOutOfDomain {
                 value,
                 categories: self.categories,
             });
         }
+        out.clear();
+        let values = &mut out.values;
         match self.kind {
             OracleKind::Grr => {
                 let reported = self.grr_report(value, rng);
                 // Write every category inactive, then activate the reported
                 // one: the fill loop has no per-category select.
-                let start = out.len();
-                out.extend((0..self.categories).map(|j| (j, self.low)));
-                if let Some(entry) = out.get_mut(start + reported) {
-                    entry.1 = self.high;
+                values.resize(self.categories, self.low);
+                if let Some(bit) = values.get_mut(reported) {
+                    *bit = self.high;
                 }
             }
             OracleKind::Oue => {
                 let (on, off) = (bernoulli_threshold(self.p), bernoulli_threshold(self.q));
-                let mut flip = |j: usize, threshold: u64| {
+                let mut flip = |threshold: u64| {
                     let bit = below_threshold(rng.next_u64(), threshold);
-                    (j, if bit { self.high } else { self.low })
+                    if bit {
+                        self.high
+                    } else {
+                        self.low
+                    }
                 };
                 // One draw per category in category order; only the true
                 // category uses `on`, so the loops around it need no select.
-                out.extend((0..value).map(|j| flip(j, off)));
-                out.push(flip(value, on));
-                out.extend((value + 1..self.categories).map(|j| flip(j, off)));
+                values.extend((0..value).map(|_| flip(off)));
+                values.push(flip(on));
+                values.extend((value + 1..self.categories).map(|_| flip(off)));
             }
         }
         Ok(())
@@ -411,17 +413,21 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(7);
         for kind in OracleKind::ALL {
             let oracle = CategoricalOracle::new(kind, 8, 1.0).unwrap();
-            let mut out = Vec::new();
+            let mut out = Report::default();
+            out.push(9, 0.5);
             oracle.perturb_into(3, &mut rng, &mut out).unwrap();
-            assert_eq!(out.len(), 8);
-            for (j, (dim, value)) in out.iter().enumerate() {
-                assert_eq!(*dim, j);
+            // Dense: one value per category, in category order.
+            assert!(out.dims.is_empty());
+            assert_eq!(out.values.len(), 8);
+            for value in &out.values {
                 assert!(
                     *value == oracle.calibrated_one() || *value == oracle.calibrated_zero(),
                     "{kind:?}"
                 );
             }
+            let held = out.clone();
             assert!(oracle.perturb_into(8, &mut rng, &mut out).is_err());
+            assert_eq!(out, held);
         }
     }
 
@@ -430,11 +436,12 @@ mod tests {
         let oracle = CategoricalOracle::new(OracleKind::Grr, 16, 1.0).unwrap();
         let mut rng = StdRng::seed_from_u64(11);
         for value in 0..16 {
-            let mut out = Vec::new();
+            let mut out = Report::default();
             oracle.perturb_into(value, &mut rng, &mut out).unwrap();
             let ones = out
+                .values
                 .iter()
-                .filter(|(_, v)| *v == oracle.calibrated_one())
+                .filter(|&&v| v == oracle.calibrated_one())
                 .count();
             assert_eq!(ones, 1);
         }
@@ -467,11 +474,10 @@ mod tests {
             let oracle = CategoricalOracle::new(kind, truth.len(), 2.0).unwrap();
             let mut rng = StdRng::seed_from_u64(29);
             let mut counts = vec![0u64; truth.len()];
-            let mut report = Vec::with_capacity(truth.len());
+            let mut report = Report::default();
             for &value in &values {
-                report.clear();
                 oracle.perturb_into(value, &mut rng, &mut report).unwrap();
-                for (count, &(_, entry)) in counts.iter_mut().zip(&report) {
+                for (count, &entry) in counts.iter_mut().zip(&report.values) {
                     *count += u64::from(entry == oracle.calibrated_one());
                 }
             }
@@ -605,11 +611,17 @@ mod tests {
                     for seed in 0..exactness_seeds(k) {
                         let mut fast_rng = StdRng::seed_from_u64(seed);
                         let mut reference_rng = StdRng::seed_from_u64(seed);
-                        let (mut fast, mut reference) = (vec![(7, 0.5)], vec![(7, 0.5)]);
+                        // One reused buffer, which each report replaces;
+                        // the reference appends every report's entries.
+                        let (mut fast, mut reference) = (Report::default(), vec![(7, 0.5)]);
+                        fast.push(7, 0.5);
+                        let mut written = vec![(7, 0.5)];
                         for value in 0..k {
                             oracle
                                 .perturb_into(value, &mut fast_rng, &mut fast)
                                 .unwrap();
+                            assert!(fast.dims.is_empty());
+                            written.extend(fast.values.iter().copied().enumerate());
                             reference_perturb_into(
                                 &oracle,
                                 value,
@@ -621,7 +633,7 @@ mod tests {
                             entries.iter().map(|&(j, v)| (j, v.to_bits())).collect()
                         };
                         let at = format!("{kind:?} k={k} eps={epsilon} seed={seed}");
-                        assert_eq!(bits(&fast), bits(&reference), "{at}");
+                        assert_eq!(bits(&written), bits(&reference), "{at}");
                         assert_eq!(fast_rng, reference_rng, "{at}");
                     }
                 }

@@ -1,21 +1,23 @@
 //! Oracle tests for the client's allocation-free report path.
 //!
 //! `Client::perturb_lazy_into` samples its `m` dimensions into the caller's
-//! buffer and perturbs the whole report with one `Mechanism::perturb_entries`
-//! call. Each report is pinned bit for bit, values and final RNG state, to a
-//! per-value oracle that stays here. Below `m = d` the oracle is the vendored
-//! `rand::seq::index::sample` followed by one `Mechanism::perturb` per
-//! sampled dimension. At `m = d` every dimension is reported, so the sampler
-//! draws nothing: the oracle is dimensions `0..d` in ascending order, one
-//! `perturb` each. A shuffle would report the same set there, each value
-//! perturbed once at `ε/m`, so the in-order rule changes only which draws
-//! perturb which dimension. Together the two oracles fix the streams behind
-//! every seeded output that goes through `Client`.
+//! `Report` and perturbs the whole value column with one
+//! `Mechanism::perturb_values` call. Each report is pinned bit for bit,
+//! dimensions, values and final RNG state, to a per-value oracle that stays
+//! here. Below `m = d` the oracle is the vendored `rand::seq::index::sample`
+//! followed by one `Mechanism::perturb` per sampled dimension, and the report
+//! is sent as named entries. At `m = d` every dimension is reported, so the
+//! sampler draws nothing: the oracle is dimensions `0..d` in ascending order,
+//! one `perturb` each, and the report is sent dense (the values alone). A
+//! shuffle would report the same set there, each value perturbed once at
+//! `ε/m`, so the in-order rule changes only which draws perturb which
+//! dimension. Together the two oracles fix the streams behind every seeded
+//! output that goes through `Client`.
 
 use hdldp_mechanisms::{
     build_mechanism, LaplaceMechanism, Mechanism, MechanismKind, PiecewiseMechanism, Rescaled,
 };
-use hdldp_protocol::{BudgetSplit, Client, FrequencyPipeline, PipelineConfig};
+use hdldp_protocol::{BudgetSplit, Client, FrequencyPipeline, PipelineConfig, Report};
 use hdldp_workloads::{CategoricalOracle, OracleKind};
 use rand::rngs::StdRng;
 use rand::seq::index::sample;
@@ -42,12 +44,28 @@ const SHAPES: [(usize, usize); 16] = [
     (5000, 50),
 ];
 
-/// Entries a caller already buffered; the client must leave them alone.
+/// Entries a caller left in the buffer; the client must replace them.
 const PREFIX: [(usize, f64); 3] = [(7, -0.5), (usize::MAX, 1e300), (0, f64::MIN_POSITIVE)];
 
 /// A deterministic value in `[-1, 1]` for every dimension.
 fn value_of(dim: usize) -> f64 {
     ((dim * 37) % 201) as f64 / 100.0 - 1.0
+}
+
+/// The `(dimension, value)` entries of a client's report over `d`
+/// dimensions, and whether it was sent dense.
+fn entries(report: &Report, d: usize) -> (Vec<(usize, f64)>, bool) {
+    if report.dims.is_empty() && report.values.len() == d {
+        (report.values.iter().copied().enumerate().collect(), true)
+    } else {
+        assert_eq!(report.dims.len(), report.values.len(), "named columns");
+        let zipped = report
+            .dims
+            .iter()
+            .copied()
+            .zip(report.values.iter().copied());
+        (zipped.collect(), false)
+    }
 }
 
 fn assert_bit_identical(actual: &[(usize, f64)], expected: &[(usize, f64)], what: &str) {
@@ -77,7 +95,7 @@ fn assert_client_matches_oracle(
             } else {
                 20
             };
-            let mut out = Vec::new();
+            let mut out = Report::default();
             for seed in 0..seeds {
                 let what = format!("d={d} m={m} {} seed={seed}", kind.name());
                 let mut oracle_rng = StdRng::seed_from_u64(seed);
@@ -86,19 +104,20 @@ fn assert_client_matches_oracle(
                     .map(|j| (j, mechanism.perturb(value_of(j), &mut oracle_rng)))
                     .collect();
 
-                // Alternate a fresh buffer with one reused across users.
+                // Alternate a fresh buffer with one reused across users,
+                // each holding stale entries first.
                 if seed % 2 == 0 {
-                    out = Vec::new();
-                } else {
-                    out.clear();
+                    out = Report::default();
                 }
-                out.extend_from_slice(&PREFIX);
+                for (dim, value) in PREFIX {
+                    out.push(dim, value);
+                }
                 let mut rng = StdRng::seed_from_u64(seed);
                 client.perturb_lazy_into(value_of, &mut rng, &mut out);
 
-                let (prefix, report) = out.split_at(PREFIX.len());
-                assert_bit_identical(prefix, &PREFIX, &format!("{what}: prefix"));
-                assert_bit_identical(report, &expected, &what);
+                let (report, sent_dense) = entries(&out, d);
+                assert_eq!(sent_dense, m == d, "{what}: dense exactly at m = d");
+                assert_bit_identical(&report, &expected, &what);
                 assert_eq!(rng, oracle_rng, "{what}: final RNG state");
             }
         }
@@ -120,7 +139,7 @@ fn client_reports_at_m_equal_d_list_every_dimension_in_order() {
 }
 
 #[test]
-fn perturb_entries_matches_the_per_value_loop_for_every_mechanism() {
+fn perturb_values_matches_the_per_value_loop_for_every_mechanism() {
     let mut owned: Vec<Box<dyn Mechanism>> = MechanismKind::ALL
         .iter()
         .map(|&kind| build_mechanism(kind, 0.7).unwrap())
@@ -153,26 +172,28 @@ fn perturb_entries_matches_the_per_value_loop_for_every_mechanism() {
             let len = (seed % 18) as usize;
             // Inputs sweep past both ends of the domain (the clamp safety
             // net) and include a NaN (mapped to the midpoint).
-            let mut entries: Vec<(usize, f64)> = (0..len)
+            let mut values: Vec<f64> = (0..len)
                 .map(|k| {
                     let u = (k as f64 + seed as f64 * 0.37) % 1.6 - 0.3;
-                    (k * 3 + 1, lo + u * (hi - lo))
+                    lo + u * (hi - lo)
                 })
                 .collect();
-            if let Some(entry) = entries.get_mut(len / 2) {
-                entry.1 = f64::NAN;
+            if let Some(value) = values.get_mut(len / 2) {
+                *value = f64::NAN;
             }
             let what = format!("mechanism #{index} ({}) seed={seed}", mechanism.name());
 
             let mut oracle_rng = StdRng::seed_from_u64(seed);
-            let expected: Vec<(usize, f64)> = entries
+            let expected: Vec<(usize, f64)> = values
                 .iter()
-                .map(|&(dim, t)| (dim, mechanism.perturb(t, &mut oracle_rng)))
+                .map(|&t| mechanism.perturb(t, &mut oracle_rng))
+                .enumerate()
                 .collect();
             let mut rng = StdRng::seed_from_u64(seed);
-            mechanism.perturb_entries(&mut entries, &mut rng);
+            mechanism.perturb_values(&mut values, &mut rng);
 
-            assert_bit_identical(&entries, &expected, &what);
+            let actual: Vec<(usize, f64)> = values.into_iter().enumerate().collect();
+            assert_bit_identical(&actual, &expected, &what);
             assert_eq!(rng, oracle_rng, "{what}: final RNG state");
         }
     }

@@ -133,7 +133,7 @@ fn serial_per_value_collection(
 
 #[test]
 fn engine_collection_draws_the_serial_per_value_streams() {
-    // The engine perturbs each report with one `perturb_entries` call and
+    // The engine perturbs each report with one `perturb_values` call and
     // sums per shard, so only the summation order may differ from the loop.
     let data =
         CategoricalDataset::generate_zipf(3_000, vec![6, 4, 10, 3, 7], &mut test_rng(19)).unwrap();

@@ -2,13 +2,13 @@
 //! replaced.
 //!
 //! The Piecewise, Square Wave and Duchi mechanisms perturb from raw
-//! generator words (`hdldp_mechanisms::draw`), and their `perturb_entries`
+//! generator words (`hdldp_mechanisms::draw`), and their `perturb_values`
 //! draws a chunk's words before transforming it. The references below are
 //! the per-value bodies those kernels replaced, drawing with the vendored
 //! `gen_bool` and `gen_range` straight from the generator. Every mechanism
 //! built on the kernels (native, rescaled, and the Hybrid mixture of two of
 //! them) must match its reference bit for bit, in every value and in the
-//! final generator state, through both `perturb` and `perturb_entries`.
+//! final generator state, through both `perturb` and `perturb_values`.
 
 use hdldp_mechanisms::{
     DuchiMechanism, HybridMechanism, Mechanism, PiecewiseMechanism, Rescaled, SquareWaveMechanism,
@@ -203,12 +203,12 @@ fn piecewise_budgets_that_collapse_the_band_are_rejected() {
     }
     for mechanism in [&pm as &dyn Mechanism, &hm] {
         let mut rng = StdRng::seed_from_u64(73);
-        let mut entries: Vec<(usize, f64)> = inputs.iter().map(|&t| (0, t)).collect();
-        mechanism.perturb_entries(&mut entries, &mut rng);
+        let mut report = inputs.clone();
+        mechanism.perturb_values(&mut report, &mut rng);
         let values = inputs
             .iter()
             .map(|&t| mechanism.perturb(t, &mut rng))
-            .chain(entries.iter().map(|&(_, v)| v));
+            .chain(report.iter().copied());
         for (k, out) in values.enumerate() {
             assert!(
                 (-q..=q).contains(&out),
@@ -307,17 +307,11 @@ fn kernels_match_the_per_value_references_bit_for_bit() {
                     assert_eq!(rng, reference_rng, "perturb, final state: {what}");
 
                     let mut rng = StdRng::seed_from_u64(seed);
-                    let mut entries: Vec<(usize, f64)> = report
-                        .iter()
-                        .enumerate()
-                        .map(|(k, &t)| (3 * k, t))
-                        .collect();
-                    mechanism.perturb_entries(&mut entries, &mut rng);
-                    let dims: Vec<usize> = entries.iter().map(|&(j, _)| j).collect();
-                    let values: Vec<f64> = entries.iter().map(|&(_, v)| v).collect();
-                    assert_eq!(dims, (0..len).map(|k| 3 * k).collect::<Vec<_>>(), "{what}");
-                    assert_eq!(bits(&values), bits(&expected), "perturb_entries: {what}");
-                    assert_eq!(rng, reference_rng, "perturb_entries, final state: {what}");
+                    let mut values = report.clone();
+                    mechanism.perturb_values(&mut values, &mut rng);
+                    assert_eq!(values.len(), len, "{what}");
+                    assert_eq!(bits(&values), bits(&expected), "perturb_values: {what}");
+                    assert_eq!(rng, reference_rng, "perturb_values, final state: {what}");
                     checked += 1;
                 }
             }

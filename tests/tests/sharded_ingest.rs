@@ -8,33 +8,70 @@
 //! order differs) is covered by a tolerance-based test against Welford
 //! running means. On full-mantissa floats, where any change of order or
 //! grouping would show, the bulk path must add each shard's reports in user
-//! order, entry by entry, for narrow and wide reports alike, and for full
-//! reports whether they hold every dimension in order (added as one pass
-//! over the sums) or reversed (scattered entry by entry).
+//! order, entry by entry, for narrow and wide named reports alike, and for
+//! full reports whether they are sent dense (values only, added as one pass
+//! over the sums) or as named entries in order or reversed (scattered entry
+//! by entry).
 //!
 //! Every oracle here is test-local and shares no code with the engine: a
-//! plain loop over the reports, the same loop run per shard over the users
-//! `ShardRouter` sends there, and Welford running means.
+//! plain loop over the `(dimension, value)` entries a report stands for, the
+//! same loop run per shard over the users `ShardRouter` sends there, and
+//! Welford running means.
 //!
-//! The last tests treat reports as untrusted: a report carrying NaN or ±∞
-//! fails the bulk call without touching the engine, and only the shards
-//! whose walk finished count anything; `fill` is handed an empty buffer for
-//! every user; and the telemetry counts equal the reports, dense reports and
-//! entries of the routed workload exactly.
+//! The last tests treat reports as untrusted: a report carrying NaN or ±∞,
+//! or whose columns fit neither shape, fails the bulk call without touching
+//! the engine, and only the shards whose walk finished count anything;
+//! `fill` is handed an empty buffer for every user; and the telemetry counts
+//! equal the reports, dense-shape reports and values of the routed workload
+//! exactly.
 
 use hdldp_math::RunningMoments;
-use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError, ShardRouter};
+use hdldp_protocol::{IngestConfig, IngestEngine, ProtocolError, Report, ShardRouter};
 use hdldp_telemetry::Registry;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+/// A named report of `(dimension, value)` entries.
+fn named(entries: &[(usize, f64)]) -> Report {
+    let mut report = Report::default();
+    for &(dim, value) in entries {
+        report.push(dim, value);
+    }
+    report
+}
+
+/// A dense report: value `j` for dimension `j`.
+fn dense(values: Vec<f64>) -> Report {
+    Report {
+        dims: Vec::new(),
+        values,
+    }
+}
+
+/// The `(dimension, value)` entries `report` stands for in a
+/// `dims`-dimensional collection: value `j` for dimension `j` when it has no
+/// dimension column and one value per dimension, its columns zipped
+/// otherwise.
+fn entries(dims: usize, report: &Report) -> Vec<(usize, f64)> {
+    if report.dims.is_empty() && report.values.len() == dims {
+        report.values.iter().copied().enumerate().collect()
+    } else {
+        report
+            .dims
+            .iter()
+            .copied()
+            .zip(report.values.iter().copied())
+            .collect()
+    }
+}
+
 /// Plain single-loop reference: per-dimension sums and counts over `reports`.
-fn single_loop_sums(dims: usize, reports: &[Vec<(usize, f64)>]) -> (Vec<f64>, Vec<u64>) {
+fn single_loop_sums(dims: usize, reports: &[Report]) -> (Vec<f64>, Vec<u64>) {
     let mut sums = vec![0.0f64; dims];
     let mut counts = vec![0u64; dims];
     for report in reports {
-        for &(dim, value) in report {
+        for (dim, value) in entries(dims, report) {
             sums[dim] += value;
             counts[dim] += 1;
         }
@@ -42,9 +79,10 @@ fn single_loop_sums(dims: usize, reports: &[Vec<(usize, f64)>]) -> (Vec<f64>, Ve
     (sums, counts)
 }
 
-/// Strategy: a population of reports over `dims` dimensions whose values lie
-/// on the dyadic grid `k/16` with `|k| <= 32`, so sums are exact in `f64`.
-fn dyadic_reports(dims: usize) -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> {
+/// Strategy: a population of named reports over `dims` dimensions whose
+/// values lie on the dyadic grid `k/16` with `|k| <= 32`, so sums are exact
+/// in `f64`.
+fn dyadic_reports(dims: usize) -> impl Strategy<Value = Vec<Report>> {
     proptest::collection::vec(
         proptest::collection::vec((0..dims, -32i32..33), 0..6),
         0..40,
@@ -53,36 +91,41 @@ fn dyadic_reports(dims: usize) -> impl Strategy<Value = Vec<Vec<(usize, f64)>>> 
         reports
             .into_iter()
             .map(|entries| {
-                entries
+                let entries: Vec<(usize, f64)> = entries
                     .into_iter()
                     .map(|(dim, k)| (dim, f64::from(k) / 16.0))
-                    .collect()
+                    .collect();
+                named(&entries)
             })
             .collect()
     })
 }
 
 /// The shape of one drawn report.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 enum Shape {
-    /// This many entries on dimensions drawn at random.
+    /// This many named entries on dimensions drawn at random.
     Random(usize),
-    /// Every dimension once, in dimension order: the engine adds it as dense.
+    /// Every dimension's value in dimension order, sent dense (no dimension
+    /// column): the engine adds it in one pass.
+    Dense,
+    /// The same values as named entries in dimension order: the engine
+    /// scatters it.
     InOrder,
-    /// Every dimension once, in reverse order: full-length and valid, but
-    /// out of order, so the engine scatters it.
+    /// The same named entries in reverse order: scattered too.
     Reversed,
 }
 
-/// Strategy: a report of 1–8 random entries, a wide one of 300 or 5,000, so
-/// a worker's one report buffer is reused across widths far apart, or a full
-/// report in order or reversed.
+/// Strategy: a named report of 1–8 random entries, a wide one of 300 or
+/// 5,000, so a worker's one report buffer is reused across widths far apart,
+/// or a full report, dense or named in order or reversed.
 fn report_shape() -> impl Strategy<Value = Shape> {
-    (0usize..12).prop_map(|class| match class {
+    (0usize..13).prop_map(|class| match class {
         0..=7 => Shape::Random(class + 1),
         8 => Shape::Random(300),
         9 => Shape::Random(5_000),
-        10 => Shape::InOrder,
+        10 => Shape::Dense,
+        11 => Shape::InOrder,
         _ => Shape::Reversed,
     })
 }
@@ -90,36 +133,43 @@ fn report_shape() -> impl Strategy<Value = Shape> {
 /// Reports of the given shapes over `dims` dimensions, with full-mantissa
 /// values in `[-1000, 1000)` from a generator seeded with `seed`, so their
 /// sums round and the rounding follows the summation order.
-fn full_mantissa_reports(dims: usize, shapes: &[Shape], seed: u64) -> Vec<Vec<(usize, f64)>> {
+fn full_mantissa_reports(dims: usize, shapes: &[Shape], seed: u64) -> Vec<Report> {
     let mut rng = StdRng::seed_from_u64(seed);
     shapes
         .iter()
         .map(|&shape| {
-            let report = match shape {
+            let order: Vec<usize> = match shape {
                 Shape::Random(width) => (0..width).map(|_| rng.gen_range(0..dims)).collect(),
-                Shape::InOrder => (0..dims).collect(),
-                Shape::Reversed => (0..dims).rev().collect::<Vec<_>>(),
+                Shape::Dense | Shape::InOrder => (0..dims).collect(),
+                Shape::Reversed => (0..dims).rev().collect(),
             };
-            report
+            let entries: Vec<(usize, f64)> = order
                 .into_iter()
                 .map(|dim| (dim, rng.gen_range(-1.0e3..1.0e3)))
-                .collect()
+                .collect();
+            if shape == Shape::Dense {
+                dense(entries.into_iter().map(|(_, value)| value).collect())
+            } else {
+                named(&entries)
+            }
         })
         .collect()
 }
 
-/// Whether `report` holds every one of `dims` dimensions once, in order: the
-/// shape the engine adds as dense.
-fn is_dense(dims: usize, report: &[(usize, f64)]) -> bool {
+/// Whether `report` is a named report that lists every one of `dims`
+/// dimensions once, in order.
+fn lists_every_dimension_in_order(dims: usize, report: &[(usize, f64)]) -> bool {
     report.len() == dims && report.iter().enumerate().all(|(i, &(dim, _))| dim == i)
 }
 
 /// Ingest `reports` into `engine` in one bulk call, user `u` sending
 /// `reports[u]`.
-fn ingest_all(engine: &mut IngestEngine, reports: &[Vec<(usize, f64)>]) {
+fn ingest_all(engine: &mut IngestEngine, reports: &[Report]) {
     engine
         .ingest_partitioned(0..reports.len() as u64, |user, out| {
-            out.extend_from_slice(&reports[user as usize]);
+            let report = &reports[user as usize];
+            out.dims.extend_from_slice(&report.dims);
+            out.values.extend_from_slice(&report.values);
             Ok(())
         })
         .unwrap();
@@ -137,16 +187,12 @@ fn routed_loads(shards: usize, users: usize) -> Vec<usize> {
 
 /// Each shard's sums over its users' reports in increasing user id, then
 /// added across shards in shard order: the bulk path's summation order.
-fn shard_serial_sums(
-    dims: usize,
-    shards: usize,
-    reports: &[Vec<(usize, f64)>],
-) -> (Vec<f64>, Vec<u64>) {
+fn shard_serial_sums(dims: usize, shards: usize, reports: &[Report]) -> (Vec<f64>, Vec<u64>) {
     let router = ShardRouter::new(shards).unwrap();
     let mut sums = vec![0.0f64; dims];
     let mut counts = vec![0u64; dims];
     for shard in 0..shards {
-        let own: Vec<Vec<(usize, f64)>> = (0..reports.len())
+        let own: Vec<Report> = (0..reports.len())
             .filter(|&user| router.route(user as u64) == shard)
             .map(|user| reports[user].clone())
             .collect();
@@ -164,8 +210,8 @@ proptest! {
 
     /// On full-mantissa floats, `ingest_partitioned` gives each shard's sum
     /// in user order, entry by entry, added across shards in shard order, for
-    /// narrow reports and wide ones alike, and for full reports added as
-    /// dense or scattered, mixed in one call.
+    /// narrow named reports and wide ones alike, and for full reports sent
+    /// dense, named in order or named reversed, mixed in one call.
     #[test]
     fn bulk_sums_follow_user_order_within_each_shard(
         dims in 1usize..20,
@@ -184,8 +230,8 @@ proptest! {
         prop_assert_eq!(bits(&merged.sums()), bits(&sums));
         prop_assert_eq!(merged.counts(), counts);
         prop_assert_eq!(merged.reports(), reports.len());
-        // Exactly the in-order full reports took the dense path.
-        let dense = reports.iter().filter(|report| is_dense(dims, report)).count();
+        // Exactly the reports sent dense took the dense path.
+        let dense = shapes.iter().filter(|&&shape| shape == Shape::Dense).count();
         prop_assert_eq!(
             registry.snapshot().counter("ingest_dense_reports_total"),
             Some(dense as u64)
@@ -220,15 +266,25 @@ proptest! {
         dims in 1usize..8,
         shards in 1usize..7,
     ) {
-        let reports: Vec<Vec<(usize, f64)>> = values
+        // Full chunks are sent dense, the short last one as named entries.
+        let reports: Vec<Report> = values
             .chunks(dims)
-            .map(|chunk| chunk.iter().enumerate().map(|(dim, &v)| (dim, v)).collect())
+            .map(|chunk| {
+                if chunk.len() == dims {
+                    dense(chunk.to_vec())
+                } else {
+                    let entries: Vec<(usize, f64)> = chunk.iter().copied().enumerate().collect();
+                    named(&entries)
+                }
+            })
             .collect();
         let mut engine = IngestEngine::new(dims, IngestConfig::new(shards, 4).unwrap()).unwrap();
         ingest_all(&mut engine, &reports);
         let mut welford = vec![RunningMoments::new(); dims];
-        for &(dim, value) in reports.iter().flatten() {
-            welford[dim].push(value);
+        for report in &reports {
+            for (dim, value) in entries(dims, report) {
+                welford[dim].push(value);
+            }
         }
         // Only the full leading chunks cover every dimension; skip configs
         // where some dimension got no reports.
@@ -257,7 +313,10 @@ fn empty_engine_reports_empty_dimensions() {
 #[test]
 fn more_shards_than_reports_leaves_idle_shards_harmless() {
     let mut engine = IngestEngine::new(2, IngestConfig::new(16, 4).unwrap()).unwrap();
-    ingest_all(&mut engine, &[vec![(0, 1.0), (1, -0.5)], vec![(0, 3.0)]]);
+    ingest_all(
+        &mut engine,
+        &[named(&[(0, 1.0), (1, -0.5)]), named(&[(0, 3.0)])],
+    );
     let loads = engine.shard_loads();
     assert_eq!(loads.len(), 16);
     assert_eq!(loads.iter().sum::<usize>(), 2);
@@ -269,15 +328,15 @@ fn more_shards_than_reports_leaves_idle_shards_harmless() {
 #[test]
 fn reports_without_entries_count_as_reports_but_not_samples() {
     let mut engine = IngestEngine::new(2, IngestConfig::new(2, 4).unwrap()).unwrap();
-    ingest_all(&mut engine, &[vec![], vec![(1, 1.0)]]);
+    ingest_all(&mut engine, &[named(&[]), named(&[(1, 1.0)])]);
     let merged = engine.merged().unwrap();
     assert_eq!(merged.reports(), 2);
     assert_eq!(merged.counts(), &[0, 1]);
 }
 
-/// 1,000 honest users' reports over 3 dimensions, of 0 to 3 entries each,
-/// with full-mantissa values.
-fn honest_reports() -> Vec<Vec<(usize, f64)>> {
+/// 1,000 honest users' named reports over 3 dimensions, of 0 to 3 entries
+/// each, with full-mantissa values.
+fn honest_entries() -> Vec<Vec<(usize, f64)>> {
     (0..1000usize)
         .map(|user| {
             (0..user % 4)
@@ -287,9 +346,17 @@ fn honest_reports() -> Vec<Vec<(usize, f64)>> {
         .collect()
 }
 
+/// [`honest_entries`] as named reports.
+fn honest_reports() -> Vec<Report> {
+    honest_entries()
+        .iter()
+        .map(|entries| named(entries))
+        .collect()
+}
+
 /// An engine over 3 dimensions holding the first 40 honest reports.
-fn engine_with_honest_reports(honest: &[Vec<(usize, f64)>]) -> IngestEngine {
-    let mut engine = IngestEngine::new(3, IngestConfig::new(3, 16).unwrap()).unwrap();
+fn engine_with_honest_reports(honest: &[Report], shards: usize) -> IngestEngine {
+    let mut engine = IngestEngine::new(3, IngestConfig::new(shards, 16).unwrap()).unwrap();
     ingest_all(&mut engine, &honest[..40]);
     engine
 }
@@ -299,13 +366,15 @@ const NON_FINITE: [f64; 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
 #[test]
 fn ingest_partitioned_rejects_a_non_finite_report_and_leaves_the_engine_untouched() {
     let honest = honest_reports();
-    let mut engine = engine_with_honest_reports(&honest);
+    let mut engine = engine_with_honest_reports(&honest, 3);
     let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
     for bad in NON_FINITE {
         let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
-            out.extend_from_slice(&honest[user as usize]);
+            let report = &honest[user as usize];
+            out.dims.extend_from_slice(&report.dims);
+            out.values.extend_from_slice(&report.values);
             if user == 500 {
-                out.push((2, bad));
+                out.push(2, bad);
             }
             Ok(())
         });
@@ -320,20 +389,88 @@ fn ingest_partitioned_rejects_a_non_finite_report_and_leaves_the_engine_untouche
 }
 
 #[test]
+fn ingest_partitioned_rejects_a_bad_dense_or_malformed_report_and_leaves_the_engine_untouched() {
+    // User 500 sends the bad report; every other user an honest one. A
+    // dense report with a non-finite value at its first, middle or last
+    // position; no dimension column and d - 1 or d + 1 values; columns of
+    // different lengths.
+    let honest = honest_reports();
+    let mut bad_reports = Vec::new();
+    for bad in NON_FINITE {
+        for at in 0..3 {
+            let mut values = vec![0.25, -0.5, 0.75];
+            values[at] = bad;
+            bad_reports.push((
+                dense(values),
+                ProtocolError::NonFiniteValue { dimension: at },
+            ));
+        }
+    }
+    let malformed = |dimensions, values| ProtocolError::MalformedReport {
+        dimensions,
+        values,
+        dims: 3,
+    };
+    bad_reports.extend([
+        (dense(vec![0.25, -0.5]), malformed(0, 2)),
+        (dense(vec![0.25, -0.5, 0.75, 1.0]), malformed(0, 4)),
+        (
+            Report {
+                dims: vec![0, 1],
+                values: vec![0.25, -0.5, 0.75],
+            },
+            malformed(2, 3),
+        ),
+        (
+            Report {
+                dims: vec![0, 1, 2],
+                values: vec![0.25],
+            },
+            malformed(3, 1),
+        ),
+    ]);
+    for shards in [1, 3] {
+        let mut engine = engine_with_honest_reports(&honest, shards);
+        let (before, loads) = (engine.merged().unwrap(), engine.shard_loads());
+        for (bad, error) in &bad_reports {
+            let result = engine.ingest_partitioned(0..honest.len() as u64, |user, out| {
+                let report = if user == 500 {
+                    bad
+                } else {
+                    &honest[user as usize]
+                };
+                out.dims.extend_from_slice(&report.dims);
+                out.values.extend_from_slice(&report.values);
+                Ok(())
+            });
+            let what = format!("{bad:?} on {shards} shards");
+            assert_eq!(result.as_ref(), Err(error), "{what}");
+            assert_eq!(engine.merged().unwrap(), before, "{what}");
+            assert_eq!(engine.shard_loads(), loads, "{what}");
+        }
+    }
+}
+
+#[test]
 fn a_failed_call_counts_only_the_shards_that_finished() {
-    // 1,000 one-entry reports; user 900's value is NaN. Its shard's walk
-    // fails and records nothing, every other shard's walk finishes and
-    // records its routed load, and the engine itself stays empty. On one
-    // shard that leaves every `ingest_*` counter at 0. At d = 1 every
-    // finite one-entry report is dense.
+    // 1,000 one-value reports at d = 1, sent as a named entry or dense;
+    // user 900's value is NaN. Its shard's walk fails and records nothing,
+    // every other shard's walk finishes and records its routed load, and the
+    // engine itself stays empty. On one shard that leaves every `ingest_*`
+    // counter at 0.
     const BAD_USER: u64 = 900;
     let users = 1_000u64;
-    for shards in [1, 3] {
+    for (shards, send_dense) in [(1, false), (3, false), (1, true), (3, true)] {
         let registry = Registry::new();
         let config = IngestConfig::new(shards, 16).unwrap();
         let mut engine = IngestEngine::with_telemetry(1, config, &registry).unwrap();
         let result = engine.ingest_partitioned(0..users, |user, out| {
-            out.push((0, if user == BAD_USER { f64::NAN } else { 0.5 }));
+            let value = if user == BAD_USER { f64::NAN } else { 0.5 };
+            if send_dense {
+                out.values.push(value);
+            } else {
+                out.push(0, value);
+            }
             Ok(())
         });
         assert_eq!(result, Err(ProtocolError::NonFiniteValue { dimension: 0 }));
@@ -353,12 +490,17 @@ fn a_failed_call_counts_only_the_shards_that_finished() {
             );
             finished += expected;
         }
-        for name in [
-            "ingest_reports_total",
-            "ingest_dense_reports_total",
-            "ingest_entries_total",
+        let dense = if send_dense { finished } else { 0 };
+        for (name, expected) in [
+            ("ingest_reports_total", finished),
+            ("ingest_dense_reports_total", dense),
+            ("ingest_entries_total", finished),
         ] {
-            assert_eq!(snapshot.counter(name), Some(finished), "{name} of {shards}");
+            assert_eq!(
+                snapshot.counter(name),
+                Some(expected),
+                "{name} of {shards}, dense {send_dense}"
+            );
         }
         if shards == 1 {
             assert_eq!(finished, 0);
@@ -378,8 +520,13 @@ fn fill_is_handed_an_empty_buffer_for_every_user() {
     let mut appending = IngestEngine::new(3, config).unwrap();
     appending
         .ingest_partitioned(users.clone(), |user, out| {
-            assert!(out.is_empty(), "user {user} was handed {out:?}");
-            out.extend_from_slice(&honest[user as usize]);
+            assert!(
+                out.dims.is_empty() && out.values.is_empty(),
+                "user {user} was handed {out:?}"
+            );
+            let report = &honest[user as usize];
+            out.dims.extend_from_slice(&report.dims);
+            out.values.extend_from_slice(&report.values);
             Ok(())
         })
         .unwrap();
@@ -388,7 +535,9 @@ fn fill_is_handed_an_empty_buffer_for_every_user() {
     clearing
         .ingest_partitioned(users, |user, out| {
             out.clear();
-            out.extend_from_slice(&honest[user as usize]);
+            let report = &honest[user as usize];
+            out.dims.extend_from_slice(&report.dims);
+            out.values.extend_from_slice(&report.values);
             Ok(())
         })
         .unwrap();
@@ -399,11 +548,24 @@ fn fill_is_handed_an_empty_buffer_for_every_user() {
 
 #[test]
 fn ingest_partitioned_counts_every_report_and_entry() {
-    let honest = honest_reports();
-    let entries: u64 = honest.iter().map(|report| report.len() as u64).sum();
+    // Users 3, 15, 27, … report dimensions 0, 1, 2 in order: they send
+    // their three values dense, every other user named entries.
+    let honest: Vec<Report> = honest_entries()
+        .iter()
+        .map(|entries| {
+            if lists_every_dimension_in_order(3, entries) {
+                dense(entries.iter().map(|&(_, value)| value).collect())
+            } else {
+                named(entries)
+            }
+        })
+        .collect();
+    let entries: u64 = honest.iter().map(|report| report.values.len() as u64).sum();
     assert_eq!(entries, 1_500);
-    // Users 3, 15, 27, … send dimensions 0, 1, 2 in order.
-    let dense = honest.iter().filter(|report| is_dense(3, report)).count();
+    let dense = honest
+        .iter()
+        .filter(|report| report.dims.is_empty() && report.values.len() == 3)
+        .count();
     assert_eq!(dense, 84);
     for shards in [1, 2, 3] {
         let loads = routed_loads(shards, honest.len());

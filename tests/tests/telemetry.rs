@@ -243,8 +243,8 @@ fn instrumented_engine_counts_match_the_workload() {
 
     engine
         .ingest_partitioned(0..users, |user, out| {
-            out.push(((user as usize) % dims, 1.0));
-            out.push(((user as usize * 7) % dims, -1.0));
+            out.push((user as usize) % dims, 1.0);
+            out.push((user as usize * 7) % dims, -1.0);
             Ok(())
         })
         .unwrap();
